@@ -55,8 +55,8 @@ type EpochSpan struct {
 // EpochRing records the last cap epochs. Begin/Cur are driven by the
 // sharded engine's coordinator; workers write only their own Shards slot of
 // the current span, between the barrier release and their arrive — the
-// barrier's generation counter and done channel order those writes against
-// the coordinator's, so the ring needs no locks of its own.
+// barrier's generation counter and arrival handoff order those writes
+// against the coordinator's, so the ring needs no locks of its own.
 type EpochRing struct {
 	spans []EpochSpan
 	n     int64 // epochs recorded in total

@@ -31,7 +31,10 @@ const DefaultCompression = 100
 // a pure function of the inserted multiset *and insertion order*; MergedInto
 // re-sorts all centroids by (mean, weight) before a single compression pass,
 // so a merged digest is bitwise independent of the order its parts are given
-// in (the epoch-barrier shard merge relies on this).
+// in (the epoch-barrier shard merge relies on this). Reads (Quantile,
+// MergedInto) never fold the buffer of the digest they read: they fold a
+// scratch copy, so how often and when a digest is read — a wall-clock
+// throttled /metrics publish, say — cannot change what it later reports.
 type TDigest struct {
 	comp float64
 
@@ -51,6 +54,10 @@ type TDigest struct {
 	gm, gw []float64
 	sm, sw []float64
 	ps     pairSorter
+
+	// ro is the flushed copy reads work on (allocated on first read of a
+	// digest with buffered samples).
+	ro *TDigest
 }
 
 // NewTDigest returns a digest with compression δ (δ < 20 is raised to 20).
@@ -150,6 +157,26 @@ func (t *TDigest) flush() {
 	t.compressSorted(gm, gw)
 }
 
+// readView returns t's state with the insertion buffer folded in, leaving
+// t itself unchanged: t when nothing is buffered, otherwise t's read
+// scratch refilled with a copy of t and flushed. Folding the copy is
+// bitwise the fold t would have made itself.
+func (t *TDigest) readView() *TDigest {
+	if t.bufn == 0 {
+		return t
+	}
+	if t.ro == nil || t.ro.comp != t.comp {
+		t.ro = NewTDigest(t.comp)
+	}
+	ro := t.ro
+	ro.mean = append(ro.mean[:0], t.mean...)
+	ro.weight = append(ro.weight[:0], t.weight...)
+	ro.bufn = copy(ro.buf, t.buf[:t.bufn])
+	ro.count, ro.min, ro.max = t.count, t.min, t.max
+	ro.flush()
+	return ro
+}
+
 // qLimit is the k1 scale function's weight boundary: the largest quantile a
 // centroid starting at q0 may span, k⁻¹(k(q0) + 1) with
 // k(q) = (δ/2π)·asin(2q-1).
@@ -205,9 +232,13 @@ func (t *TDigest) compressSorted(ms, ws []float64) {
 
 // Quantile returns the value at quantile q in [0, 1] (NaN when empty),
 // interpolating piecewise-linearly between centroid midpoints with the
-// exact min/max as endpoints.
+// exact min/max as endpoints. It reads a flushed copy; t is not modified.
 func (t *TDigest) Quantile(q float64) float64 {
-	t.flush()
+	return t.readView().quantile(q)
+}
+
+// quantile is Quantile over a flushed digest.
+func (t *TDigest) quantile(q float64) float64 {
 	n := len(t.mean)
 	if n == 0 {
 		return math.NaN()
@@ -266,15 +297,15 @@ func (p *pairSorter) Swap(i, j int) {
 // MergedInto resets dst and rebuilds it as the merge of parts: all centroids
 // are gathered, sorted by the (mean, weight) total order, and compressed in
 // one pass. The result is bitwise identical under any permutation of parts.
-// dst may not be one of parts. Parts are flushed but otherwise unchanged.
+// dst may not be one of parts. Parts are not modified: each one's buffer is
+// folded in its read scratch (bitwise the fold the part would make itself).
 // This is the epoch-barrier merge path, not the per-sample hot path; the
 // gather arrays grow to fit all parts' centroids on first use.
 func MergedInto(dst *TDigest, parts ...*TDigest) {
 	dst.Reset()
 	need := 0
 	for _, p := range parts {
-		p.flush()
-		need += len(p.mean)
+		need += len(p.mean) + p.bufn // a fold never adds centroids
 	}
 	if cap(dst.gm) < need {
 		dst.gm = make([]float64, 0, need)
@@ -282,6 +313,7 @@ func MergedInto(dst *TDigest, parts ...*TDigest) {
 	}
 	gm, gw := dst.gm[:0], dst.gw[:0]
 	for _, p := range parts {
+		p = p.readView()
 		gm = append(gm, p.mean...)
 		gw = append(gw, p.weight...)
 		if p.min < dst.min {
@@ -298,7 +330,10 @@ func MergedInto(dst *TDigest, parts ...*TDigest) {
 }
 
 // SaveState serializes the digest (flushed first, so the byte stream is
-// insertion-order canonical up to buffered samples).
+// insertion-order canonical up to buffered samples). Unlike the reads, a
+// checkpoint folds the live buffer: the snapshot holds no buffer, so the
+// saving run must continue from the same folded state a resumed run
+// restores, or resume would not be bitwise.
 func (t *TDigest) SaveState(e *checkpoint.Enc) {
 	t.flush()
 	e.F64(t.comp)

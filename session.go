@@ -402,6 +402,9 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		// Shard 0 runs inline on the coordinator; one worker per remaining
 		// shard (the barrier counts those p-1 arrivals).
 		r.bar.init(p - 1)
+		if o.telAddr != "" {
+			r.bar.pollEvery = barrierPollEvery
+		}
 		cl.SnapshotPrepare(&r.view)
 		for i := 1; i < p; i++ {
 			go r.worker(i)

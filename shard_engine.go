@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hierdrl/internal/cluster"
 	"hierdrl/internal/sim"
@@ -83,71 +84,166 @@ type phaseCmd struct {
 	stop    bool
 }
 
-// epochBarrier is the two-sided synchronization of one phase: a generation
-// counter releases the workers (spin-then-park: consecutive epochs are
-// microseconds apart, so a bounded spin usually wins; the condition variable
-// catches idle stretches), and an arrival countdown hands completion back to
-// the coordinator through a one-slot channel.
+// barrierSpin is how long either side of the epoch barrier busy-waits
+// before it parks in the Go scheduler. It is sized to cover the tail of one
+// phase, not its mean: a steady-state phase takes a few microseconds, but
+// the occasional one (a GC assist, a DRL training step, a burst of
+// completions to replay) runs far longer. Every park costs a scheduler
+// round trip on both sides, and with only as many Ps as goroutines a
+// readied goroutine can queue behind a spinner. An idle stretch (the caller
+// between StepUntil calls) costs at most one budget of spinning before the
+// workers park. The budget is wall time rather than a load count so that it
+// means the same on every CPU and under -race, whose instrumented atomics
+// are two orders of magnitude slower.
+const barrierSpin = 400 * time.Microsecond
+
+// barrierSpinCheck is how many loads a spinning waiter makes between clock
+// reads; a wait that ends within the first stretch never reads the clock.
+const barrierSpinCheck = 64
+
+// barrierPollEvery is the generation cadence at which the workers of a
+// session serving live telemetry park without spinning (every few
+// milliseconds of epochs). While both sides spin, no P ever runs the
+// scheduler's idle path, so nothing polls the network but sysmon, every
+// 10 ms at best, and a readied HTTP goroutine then also waits for a spinner
+// to be preempted. A parked worker's P polls the network at once and serves
+// the scrape; the cost is one slow release per cadence.
+const barrierPollEvery = 256
+
+// spinWait bounds one busy wait of the epoch barrier by wall time.
+type spinWait struct {
+	n     int
+	start time.Time
+}
+
+// more reports whether the waiter should make another load. A zero budget
+// never spins: that is the budget of an oversubscribed box, where
+// GOMAXPROCS cannot hold the coordinator and every worker at once and each
+// nanosecond of spin is taken from a runnable goroutine queued behind the
+// spinner. more is small enough to inline, so a spin load costs about one
+// nanosecond.
+func (w *spinWait) more(budget time.Duration) bool {
+	if w.n++; w.n%barrierSpinCheck != 0 {
+		return budget > 0
+	}
+	return w.check(budget)
+}
+
+// check is more's clock read, once every barrierSpinCheck loads.
+func (w *spinWait) check(budget time.Duration) bool {
+	if w.start.IsZero() {
+		w.start = time.Now()
+		return true
+	}
+	return time.Since(w.start) < budget
+}
+
+// Coordinator handoff states of one phase (epochBarrier.state).
+const (
+	phaseRunning uint32 = iota // workers released, not all arrived
+	phaseParked                // coordinator gave up spinning, blocks on wake
+	phaseDone                  // the last worker arrived
+)
+
+// epochBarrier is the two-sided synchronization of one phase. Both sides
+// spin on an atomic before they park, so a steady-state epoch never enters
+// the Go scheduler:
+//
+//   - release bumps a generation counter the workers spin on; it touches
+//     mu/cond only when sleepers says a worker actually parked.
+//   - arrive counts the workers in; the last one swaps state to phaseDone
+//     and sends the wake token only if it saw phaseParked. join parks only
+//     after a successful CAS from phaseRunning to phaseParked, so exactly
+//     one of "the last arriver sees parked" and "join sees done" happens,
+//     and the one-slot token is never lost or doubled.
+//
+// No worker wakeup is lost: a parking worker runs sleepers.Add(1) and then
+// gen.Load under mu; release runs gen.Add(1) and then sleepers.Load. Go's
+// atomics are sequentially consistent, so in their single total order
+// either the worker's gen.Load follows the gen.Add (it sees the new
+// generation and does not wait) or release's sleepers.Load follows the
+// sleepers.Add (release takes mu, which the worker holds until cond.Wait
+// has enqueued it, and broadcasts). A stale nonzero sleepers costs one
+// spurious broadcast, never a missed one.
 type epochBarrier struct {
-	p       int // worker count (shards 1..P-1; shard 0 is the coordinator's)
-	spin    int
-	gen     atomic.Uint64
-	arrived atomic.Int32
-	done    chan struct{}
-	mu      sync.Mutex
-	cond    *sync.Cond
+	p         int           // worker count (shards 1..P-1; shard 0 is the coordinator's)
+	spin      time.Duration // spin budget per wait, either side
+	pollEvery uint64        // park workers without spinning every pollEvery generations (0: never)
+	gen       atomic.Uint64
+	arrived   atomic.Int32
+	state     atomic.Uint32
+	wake      chan struct{}
+	sleepers  atomic.Int32
+	mu        sync.Mutex
+	cond      *sync.Cond
 }
 
 func (b *epochBarrier) init(p int) {
 	b.p = p
-	b.done = make(chan struct{}, 1)
+	b.wake = make(chan struct{}, 1)
 	b.cond = sync.NewCond(&b.mu)
-	// Spinning only helps when every worker (and the coordinator) can hold a
-	// core; on an oversubscribed box parking immediately is faster.
+	// Spinning only helps when the coordinator and every worker can hold a
+	// P at once; on an oversubscribed box both sides park at once.
 	if runtime.GOMAXPROCS(0) > p {
-		b.spin = 4096
-	} else {
-		b.spin = 64
+		b.spin = barrierSpin
 	}
 }
 
 // release publishes the new generation and wakes parked workers. The
-// arrival count is reset first — no worker from the previous phase can still
-// arrive, because the coordinator joined it.
+// arrival count and handoff state are reset first — no worker from the
+// previous phase can still arrive, because the coordinator joined it.
 func (b *epochBarrier) release() {
 	b.arrived.Store(0)
-	b.mu.Lock()
+	b.state.Store(phaseRunning)
 	b.gen.Add(1)
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	if b.sleepers.Load() > 0 {
+		b.mu.Lock()
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	}
 }
 
 // await blocks until the generation moves past gen and returns the new one.
 func (b *epochBarrier) await(gen uint64) uint64 {
-	for i := 0; i < b.spin; i++ {
-		if g := b.gen.Load(); g != gen {
-			return g
+	if b.pollEvery == 0 || gen%b.pollEvery != 0 {
+		var w spinWait
+		for w.more(b.spin) {
+			if g := b.gen.Load(); g != gen {
+				return g
+			}
 		}
 	}
 	b.mu.Lock()
+	b.sleepers.Add(1)
 	for b.gen.Load() == gen {
 		b.cond.Wait()
 	}
+	b.sleepers.Add(-1)
 	g := b.gen.Load()
 	b.mu.Unlock()
 	return g
 }
 
-// arrive signals this worker's phase completion; the last one releases the
-// coordinator.
+// arrive signals this worker's phase completion; the last one hands the
+// phase back to the coordinator.
 func (b *epochBarrier) arrive() {
-	if b.arrived.Add(1) == int32(b.p) {
-		b.done <- struct{}{}
+	if b.arrived.Add(1) == int32(b.p) && b.state.Swap(phaseDone) == phaseParked {
+		b.wake <- struct{}{}
 	}
 }
 
 // join blocks the coordinator until every worker arrived.
-func (b *epochBarrier) join() { <-b.done }
+func (b *epochBarrier) join() {
+	var w spinWait
+	for w.more(b.spin) {
+		if b.state.Load() == phaseDone {
+			return
+		}
+	}
+	if b.state.CompareAndSwap(phaseRunning, phaseParked) {
+		<-b.wake
+	}
+}
 
 // shardRunner drives a sharded session: P lane workers, the epoch barrier,
 // the merged-replay machinery, and the gathered allocation view.
@@ -199,9 +295,9 @@ type shardRunner struct {
 	// etrace records per-phase timing spans (nil unless WithEpochTrace):
 	// the coordinator opens a span before each barrier release, each worker
 	// writes only its own Shards slot between release and arrive, and the
-	// coordinator reads everything after join — the barrier's
-	// generation/done synchronization orders the writes, so the ring needs
-	// no locks (see telemetry.EpochRing).
+	// coordinator reads everything after join — the barrier's generation
+	// counter and arrival handoff order the writes, so the ring needs no
+	// locks (see telemetry.EpochRing).
 	etrace *telemetry.EpochRing
 
 	stopped bool
