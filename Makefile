@@ -88,7 +88,7 @@ scenario-smoke:
 # sketch-checkpoint round trip — all under the race detector — plus the
 # telemetry package's own zero-alloc and merge-determinism pins.
 obs-smoke:
-	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceRequiresShards|TestCheckpointRoundTripSketches' -v .
+	$(GO) test -race -run 'TestObsSmoke|TestTelemetryPreservesBitwiseMetrics|TestSketchOnlySummary|TestEpochTraceChromeJSON|TestEpochTraceOneShard|TestCheckpointRoundTripSketches' -v .
 	$(GO) test -race ./internal/telemetry
 
 # bench-full additionally regenerates the paper tables/figures benchmarks

@@ -308,8 +308,7 @@ func BenchmarkEventLoop(b *testing.B) {
 // BenchmarkSnapshot measures one per-arrival cluster observation: refreshing
 // a reused View for an M=30 cluster.
 func BenchmarkSnapshot(b *testing.B) {
-	sm := sim.New()
-	cl, err := cluster.New(cluster.DefaultConfig(30), sm, func(int) cluster.DPMPolicy {
+	cl, err := cluster.NewSharded(cluster.DefaultConfig(30), []*sim.Simulator{sim.New()}, func(int) cluster.DPMPolicy {
 		return benchAlwaysOn{}
 	})
 	if err != nil {

@@ -70,9 +70,9 @@ func (s *Session) configJSON() ([]byte, error) {
 
 // Checkpoint serializes the session's complete resumable state to w. It must
 // be called at a decision-epoch boundary — any instant user code runs between
-// Step / StepUntil / Drain calls qualifies, in both tiers (the parallel tier
-// parks its workers at a barrier between epochs, so the lanes are quiescent
-// exactly when the caller has control).
+// Step / StepUntil / Drain calls qualifies (the engine parks its workers at a
+// barrier between epochs, so the lanes are quiescent exactly when the caller
+// has control).
 //
 // The snapshot captures the engine clocks and pending timers, every queued
 // and in-flight job, the cluster's power/reliability aggregates, the DRL
@@ -113,14 +113,12 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	metricsEnc := wr.Section(secMetrics)
 	mergerEnc := wr.Section(secMerger)
 
-	// Parallel-tier dispatches already allocated but not yet committed to a
-	// lane live only in the coordinator; hand them to the cluster so they
-	// join its job table.
+	// Dispatches already allocated but not yet committed to a lane live only
+	// in the coordinator; hand them to the cluster so they join its job
+	// table.
 	var extra []*cluster.Job
-	if s.sr != nil {
-		for i := range s.sr.pends {
-			extra = append(extra, s.sr.pends[i].job)
-		}
+	for i := range s.sr.pends {
+		extra = append(extra, s.sr.pends[i].job)
 	}
 	idx := s.cl.SaveState(clusterEnc, extra)
 
@@ -145,7 +143,7 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 
 	s.col.SaveState(metricsEnc)
 
-	if s.sr != nil && s.sr.merger != nil {
+	if s.sr.merger != nil {
 		mergerEnc.Bool(true)
 		s.sr.merger.SaveState(mergerEnc)
 	} else {
@@ -156,33 +154,18 @@ func (s *Session) Checkpoint(w io.Writer) (err error) {
 	return err
 }
 
-// saveEngine captures the execution tier: shard count, per-lane clock and
-// sequence counters, and the tier-specific in-flight scheduling state (the
-// strict tier's pump timer; the parallel tier's engine clock and uncommitted
-// dispatches, by cluster job-table index).
+// saveEngine captures the epoch engine: shard count, per-lane clock and
+// sequence counters, the engine clock, and the uncommitted dispatches (by
+// cluster job-table index).
 func (s *Session) saveEngine(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
+	p := s.sr.p
 	e.Int(p)
 	for i := 0; i < p; i++ {
 		lane := s.cl.Lane(i)
 		e.F64(float64(lane.Now()))
-		seq, prioSeq, nFired := lane.Counters()
+		seq, nFired := lane.Counters()
 		e.I64(seq)
-		e.I64(prioSeq)
 		e.I64(nFired)
-	}
-	if s.sr == nil {
-		if s.pumpTimer.Pending() {
-			e.Bool(true)
-			e.F64(float64(s.pumpTimer.At()))
-			e.I64(s.pumpTimer.Seq())
-		} else {
-			e.Bool(false)
-		}
-		return
 	}
 	e.F64(float64(s.sr.clock))
 	e.Int(len(s.sr.pends))
@@ -195,7 +178,7 @@ func (s *Session) saveEngine(e *checkpoint.Enc, idx map[*cluster.Job]int32) {
 	}
 }
 
-// pendRecBytes is a lower bound on one serialized parallel-tier dispatch
+// pendRecBytes is a lower bound on one serialized uncommitted dispatch
 // (I32 job index + Int target + Int shard + F64 at).
 const pendRecBytes = 4 + 8 + 8 + 8
 
@@ -251,8 +234,8 @@ func (s *Session) saveSessionState(e *checkpoint.Enc) {
 //
 // The Config is embedded in the snapshot (warmup trace excluded — its effect
 // lives in the restored agent weights), so opts carry only the re-attachable
-// runtime state: WithObserver, WithContext, WithAutoCheckpoint. The execution
-// tier is part of the snapshot; a WithShards option is ignored. Restore
+// runtime state: WithObserver, WithContext, WithAutoCheckpoint. The shard
+// count is part of the snapshot; a WithShards option is ignored. Restore
 // fails with ErrCorrupt, ErrVersion, or ErrConfigMismatch on damaged input,
 // never with a partially built session.
 func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
@@ -298,7 +281,6 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	for i := 0; i < p; i++ {
 		now := sim.Time(engDec.F64())
 		seq := engDec.I64()
-		prioSeq := engDec.I64()
 		nFired := engDec.I64()
 		if err := engDec.Sticky(); err != nil {
 			return nil, err
@@ -306,7 +288,7 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 		if math.IsNaN(float64(now)) || now < 0 || nFired < 0 {
 			return nil, fmt.Errorf("%w: lane %d clock %v, %d fired", ErrCorrupt, i, now, nFired)
 		}
-		s.cl.Lane(i).RestoreBegin(now, seq, prioSeq, nFired)
+		s.cl.Lane(i).RestoreBegin(now, seq, nFired)
 	}
 
 	clDec, err := rd.Section(secCluster)
@@ -398,7 +380,7 @@ func Restore(r io.Reader, opts ...SessionOption) (*Session, error) {
 	if err := mgDec.Sticky(); err != nil {
 		return nil, err
 	}
-	if hasMerger != (s.sr != nil && s.sr.merger != nil) {
+	if hasMerger != (s.sr.merger != nil) {
 		return nil, fmt.Errorf("%w: merger presence %v contradicts config", ErrCorrupt, hasMerger)
 	}
 	if hasMerger {
@@ -438,26 +420,9 @@ func restoreConfig(rd *checkpoint.Reader) (Config, error) {
 	return cfg, nil
 }
 
-// restoreEngineTail decodes the tier-specific scheduling state that follows
-// the per-lane counters: the strict tier's pump timer (re-registered with its
-// exact original sequence number, preserving event order bit for bit) or the
-// parallel tier's engine clock and uncommitted dispatches.
+// restoreEngineTail decodes the engine state that follows the per-lane
+// counters: the engine clock and the uncommitted dispatches.
 func (s *Session) restoreEngineTail(d *checkpoint.Dec, table []*cluster.Job) error {
-	if s.sr == nil {
-		if !d.Bool() {
-			return d.Sticky()
-		}
-		at := sim.Time(d.F64())
-		seq := d.I64()
-		if err := d.Sticky(); err != nil {
-			return err
-		}
-		if math.IsNaN(float64(at)) || at < s.sm.Now() {
-			return fmt.Errorf("%w: pump timer at %v before clock %v", ErrCorrupt, at, s.sm.Now())
-		}
-		s.pumpTimer = s.sm.ScheduleRestored(at, seq, sessionPumpFire, s)
-		return nil
-	}
 	clock := sim.Time(d.F64())
 	n := d.SliceLen(pendRecBytes)
 	if err := d.Sticky(); err != nil {

@@ -266,6 +266,12 @@ var snapshotCorruptions = []struct {
 		binary.LittleEndian.PutUint32(b[8:], 99)
 		return b
 	}, hierdrl.ErrVersion},
+	// Format v3 still carried the one-lane engine's pump timer and the
+	// priority sequence counters; v4 readers reject it rather than misread it.
+	{"format-v3", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8:], 3)
+		return b
+	}, hierdrl.ErrVersion},
 	{"fingerprint-flip", func(b []byte) []byte { b[12] ^= 0xFF; return b }, hierdrl.ErrConfigMismatch},
 	{"implausible-section-count", func(b []byte) []byte {
 		binary.LittleEndian.PutUint32(b[20:], 100000)

@@ -27,7 +27,7 @@
 // The scale-10k system is the multi-core single-run preset: 10,000 servers,
 // 2M jobs streamed from the generator, least-loaded dispatch over the
 // RL/LSTM local tier. -shards P partitions the cluster into P event lanes
-// stepped on P cores (the parallel tier; see DESIGN.md §12).
+// stepped on P cores (see DESIGN.md §12).
 //
 // Streaming mode ingests jobs from stdin line by line through the Session
 // API ("arrival,duration,cpu,mem,disk" CSV rows, header optional), advances
@@ -60,7 +60,7 @@ func main() {
 	servers := flag.Int("servers", 30, "cluster size M (scale-10k default: 10000)")
 	jobs := flag.Int("jobs", 95000, "synthetic workload length (ignored with -trace/-stream; scale-10k default: 2000000)")
 	shards := flag.Int("shards", 1,
-		"event-lane shards P: 1 = strict single-core tier, >= 2 = parallel tier (one worker per shard)")
+		"event-lane shards P: 1 = one lane on the driving goroutine, >= 2 = one worker per extra shard")
 	warmup := flag.Int("warmup", 20000, "offline-phase rollout length for DRL systems")
 	timeout := flag.Float64("timeout", 60, "fixed timeout seconds (system=fixed-timeout)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -106,7 +106,7 @@ func main() {
 			"/debug/pprof); e.g. 127.0.0.1:9188, or 127.0.0.1:0 for an ephemeral port")
 	epochTrace := flag.String("epoch-trace", "",
 		"write the last decision epochs as Chrome trace-event JSON to this file at exit "+
-			"(load in chrome://tracing; requires -shards >= 2)")
+			"(load in chrome://tracing)")
 	sketchOnly := flag.Bool("sketch-only", false,
 		"constant-memory quantiles: drop the per-job latency samples and answer p50/p95/p99 "+
 			"from merging t-digest sketches (for unbounded streams)")
@@ -132,10 +132,6 @@ func main() {
 	}
 	if *snapFormat != "table" && *snapFormat != "json" {
 		fmt.Fprintf(os.Stderr, "hiersim: unknown -snap-format %q; supported: table json\n", *snapFormat)
-		os.Exit(2)
-	}
-	if *epochTrace != "" && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "hiersim: -epoch-trace records the parallel tier's decision epochs; it requires -shards >= 2")
 		os.Exit(2)
 	}
 

@@ -88,7 +88,7 @@ func main() {
 		},
 		Preset: map[string]int{"m": *m, "jobs": *jobs, "seed": int(*seed)},
 	}
-	// Speedup is defined against the strict tier: an explicit -shards list
+	// Speedup is defined against P=1: an explicit -shards list
 	// without a P=1 entry gets one prepended so the baseline always exists.
 	hasOne := false
 	for _, p := range ps {

@@ -397,3 +397,46 @@ func TestDRLDispatchMonotoneUnderFaultRequeues(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultRunsShardInvariant pins that exp-crash runs are bitwise the same
+// at every shard count, for a state-blind and a learning allocator under
+// both immediate and backoff retries. Every P runs the epoch engine, where a
+// crash-evicted job's requeue dispatches at max(crash_t + delay, the first
+// decision epoch after the eviction is replayed), so the dispatch instant no
+// longer depends on how the cluster is partitioned.
+func TestFaultRunsShardInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve fault runs; run without -short")
+	}
+	m := 20
+	tr := hierdrl.SyntheticTraceForCluster(1500, m, 1)
+	warm := hierdrl.SyntheticTraceForCluster(300, m, 2)
+	for _, mk := range []func(int) hierdrl.Config{hierdrl.RoundRobin, hierdrl.DRLOnly} {
+		for _, retry := range []hierdrl.RetryKind{hierdrl.RetryImmediate, hierdrl.RetryBackoff} {
+			cfg := mk(m)
+			cfg.Faults = hierdrl.FaultExpCrash
+			cfg.MTTFSec = 20000
+			cfg.MTTRSec = 600
+			cfg.Retry = retry
+			cfg.WarmupTrace = warm
+			var ref [17]uint64
+			for _, p := range []int{1, 2, 3} {
+				res, err := hierdrl.RunWith(cfg, tr, hierdrl.WithShards(p))
+				if err != nil {
+					t.Fatalf("%s/%s P=%d: %v", cfg.Name, retry, p, err)
+				}
+				bits := faultBits(res.Summary)
+				if p == 1 {
+					ref = bits
+					if res.Summary.JobsRetried == 0 {
+						t.Fatalf("%s/%s: no retries; test is vacuous", cfg.Name, retry)
+					}
+					continue
+				}
+				if bits != ref {
+					t.Errorf("%s/%s: P=%d differs from P=1:\n  P=1 %v\n  P=%d %v", cfg.Name, retry, p, ref, p, bits)
+				}
+			}
+		}
+	}
+}

@@ -36,7 +36,9 @@ const Magic = "HDRLCKPT"
 // per-server state (effective speed, degrade and drain bookkeeping) and the
 // session migration/domain tallies. Version 3 extended the metrics section
 // with the telemetry sketch state (sketch-only flag, wait sum, t-digests).
-const Version uint32 = 3
+// Version 4 dropped the per-lane priority sequence counter and the one-lane
+// engine's pump timer: every session runs on the epoch engine.
+const Version uint32 = 4
 
 // maxSectionLen bounds a single section payload (1 GiB) so a corrupt length
 // field cannot drive a huge allocation before the CRC check runs.

@@ -114,11 +114,8 @@ func (c Config) serverConfigFor(i int) ServerConfig {
 
 // shardGroup is one horizontal partition of the cluster: a contiguous server
 // range [lo, hi) stepped by its own event lane, carrying its own incremental
-// aggregates so no cross-shard cache line is written on the hot path. The
-// strict tier is the P=1 special case — one group over all servers, whose
-// aggregate arithmetic is instruction-for-instruction the historical
-// single-cluster bookkeeping (same accumulators, same update order), so
-// strict results are bitwise unchanged.
+// aggregates so no cross-shard cache line is written on the hot path. A
+// one-shard cluster is one group over all servers.
 type shardGroup struct {
 	sm     *sim.Simulator
 	lo, hi int
@@ -159,10 +156,9 @@ type shardGroup struct {
 	// tree over this shard (see LoadIndex).
 	idx *LoadIndex
 
-	// Async-mode logs. Exactly one worker goroutine owns a shard during a
-	// parallel phase, so appends are single-writer; the coordinator drains
-	// them at the epoch barrier (the barrier's synchronization orders the
-	// accesses).
+	// Observation logs. Exactly one goroutine owns a shard during a phase,
+	// so appends are single-writer; the coordinator drains them at the
+	// epoch barrier (the barrier's synchronization orders the accesses).
 	changes    []ChangeRec
 	dones      []DoneRec
 	trans      []TransRec
@@ -181,39 +177,13 @@ type Cluster struct {
 	shards  []shardGroup
 	shardOf []int32 // server id -> shard index
 
-	// async switches the hot-path callbacks from synchronous dispatch to
-	// per-shard logging (parallel tier). logChanges/logTransitions gate the
-	// corresponding log streams so runs without a consumer log nothing.
-	async          bool
+	// Server events append to per-shard observation logs (shard.go) that
+	// the coordinator replays at each epoch barrier. Completions and fault
+	// events always log; logChanges (set by NewMerger) and logTransitions
+	// (set by LogTransitions) gate the two streams that need a consumer, so
+	// runs without one log nothing there.
 	logChanges     bool
 	logTransitions bool
-
-	// OnChange fires after any server changes power draw or occupancy, with
-	// aggregates already updated. The global DRL tier uses it to integrate
-	// its Eqn. (4) reward exactly. In async mode it must be nil — the
-	// Merger's change-feed replay takes its place.
-	OnChange func(t sim.Time)
-	// OnJobDone fires when any job completes (async mode: replayed at the
-	// epoch barrier through DrainDones, in merged time order).
-	OnJobDone func(t sim.Time, j *Job)
-	// OnTransition fires after any server changes power mode (wake begin,
-	// wake complete, shutdown begin, shutdown complete). Nil by default;
-	// transitions are rare relative to job events so the forwarding branch
-	// costs nothing on the hot path.
-	OnTransition func(t sim.Time, server int, from, to PowerState)
-	// OnInterrupt fires for every job a crash evicts (strict tier; async
-	// mode logs InterruptRecs instead, replayed at the epoch barrier through
-	// DrainInterrupts in merged time order).
-	OnInterrupt func(t sim.Time, j *Job)
-	// OnMigrate fires for every queued job a maintenance drain migrates away
-	// (strict tier; async mode replays through DrainMigrates).
-	OnMigrate func(t sim.Time, j *Job)
-	// OnDegrade fires on fail-slow onset (factor < 1) and restore
-	// (factor == 1) — strict tier; async mode replays through DrainDegrades.
-	OnDegrade func(t sim.Time, server int, factor float64)
-	// OnDrainStart fires when a server's maintenance window opens, before its
-	// queue migrates — strict tier; async mode replays through DrainMaints.
-	OnDrainStart func(t sim.Time, server int)
 
 	// faults records that EnableFaults installed failure clocks; faultKind
 	// and degradeFactor record the installed model's class.
@@ -229,19 +199,13 @@ type Cluster struct {
 	drainCur []int
 }
 
-// New builds a single-lane cluster (the strict tier). dpmFactory is invoked
+// NewSharded builds a cluster partitioned into len(lanes) contiguous shard
+// groups, server i belonging to the lane of its shard. dpmFactory is invoked
 // once per server index to produce that server's local power-management
 // policy (the paper's distributed local tier: one independent manager per
-// machine).
-func New(cfg Config, sm *sim.Simulator, dpmFactory func(serverID int) DPMPolicy) (*Cluster, error) {
-	return NewSharded(cfg, []*sim.Simulator{sm}, dpmFactory)
-}
-
-// NewSharded builds a cluster partitioned into len(lanes) contiguous shard
-// groups, server i belonging to the lane of its shard. The factory is still
-// invoked in ascending server order regardless of the partitioning, so every
-// RNG-splitting factory produces the exact construction-time draw sequence
-// of the strict tier.
+// machine), in ascending server order regardless of the partitioning, so an
+// RNG-splitting factory draws the same construction-time sequence at every
+// shard count.
 func NewSharded(cfg Config, lanes []*sim.Simulator, dpmFactory func(serverID int) DPMPolicy) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -310,10 +274,6 @@ func (c *Cluster) M() int { return c.cfg.M }
 // Server returns server i.
 func (c *Cluster) Server(i int) *Server { return c.servers[i] }
 
-// Sim returns the simulator driving the first shard (strict-tier callers,
-// which always run one lane).
-func (c *Cluster) Sim() *sim.Simulator { return c.shards[0].sm }
-
 // Shards returns the number of shard groups.
 func (c *Cluster) Shards() int { return len(c.shards) }
 
@@ -326,8 +286,8 @@ func (c *Cluster) ShardOf(i int) int { return int(c.shardOf[i]) }
 // Lane returns shard s's simulator.
 func (c *Cluster) Lane(s int) *sim.Simulator { return c.shards[s].sm }
 
-// Clock returns the most advanced lane clock — for the strict tier, simply
-// the clock. (Individual lanes lag behind between epoch barriers.)
+// Clock returns the most advanced lane clock — with one shard, simply the
+// clock. (Individual lanes lag behind between epoch barriers.)
 func (c *Cluster) Clock() sim.Time {
 	now := c.shards[0].sm.Now()
 	for i := 1; i < len(c.shards); i++ {
@@ -338,21 +298,10 @@ func (c *Cluster) Clock() sim.Time {
 	return now
 }
 
-// SetAsync switches the cluster's observation callbacks into per-shard
-// logging mode (the parallel tier): server events append ChangeRec/DoneRec/
-// TransRec entries to their shard's log instead of invoking OnChange/
-// OnJobDone/OnTransition synchronously, and the coordinator replays the
-// merged streams at each epoch barrier. logChanges must be set exactly when
-// a change-feed consumer (a Merger) exists; logTransitions exactly when a
-// transition observer is attached. OnChange must be nil in async mode.
-func (c *Cluster) SetAsync(logChanges, logTransitions bool) {
-	if c.OnChange != nil {
-		panic("cluster: SetAsync with a synchronous OnChange attached")
-	}
-	c.async = true
-	c.logChanges = logChanges
-	c.logTransitions = logTransitions
-}
+// LogTransitions turns on the power-mode transition log (TransRec entries,
+// replayed through DrainTrans). Call it before any event fires, when a
+// transition observer exists.
+func (c *Cluster) LogTransitions() { c.logTransitions = true }
 
 // Submit dispatches job j to the given server at the current time (of the
 // server's lane).
@@ -415,8 +364,7 @@ func (c *Cluster) serverFault(t sim.Time, s *Server, down bool) {
 }
 
 // serverDegraded maintains the shard-local fault counter for fail-slow
-// onsets and forwards the event (synchronously in the strict tier, via the
-// shard's degrade log in async mode).
+// onsets and logs the edge.
 func (c *Cluster) serverDegraded(t sim.Time, s *Server, degraded bool) {
 	g := &c.shards[c.shardOf[s.ID()]]
 	factor := 1.0
@@ -424,57 +372,30 @@ func (c *Cluster) serverDegraded(t sim.Time, s *Server, degraded bool) {
 		g.fails++
 		factor = c.degradeFactor
 	}
-	if c.async {
-		g.degrades = append(g.degrades, DegradeRec{At: t, Server: int32(s.ID()), Factor: factor})
-		return
-	}
-	if c.OnDegrade != nil {
-		c.OnDegrade(t, s.ID(), factor)
-	}
+	g.degrades = append(g.degrades, DegradeRec{At: t, Server: int32(s.ID()), Factor: factor})
 }
 
-// serverDrain maintains the shard-local draining counter and forwards the
+// serverDrain maintains the shard-local draining counter and logs the
 // window-open event.
 func (c *Cluster) serverDrain(t sim.Time, s *Server) {
 	g := &c.shards[c.shardOf[s.ID()]]
 	g.draining++
-	if c.async {
-		g.maints = append(g.maints, MaintRec{At: t, Server: int32(s.ID())})
-		return
-	}
-	if c.OnDrainStart != nil {
-		c.OnDrainStart(t, s.ID())
-	}
+	g.maints = append(g.maints, MaintRec{At: t, Server: int32(s.ID())})
 }
 
-// jobMigrated forwards one drain-migrated job: synchronously through
-// OnMigrate in the strict tier, via the shard's migrate log in async mode
-// (unconditional there — re-dispatch handling is mandatory whenever faults
-// are enabled, exactly like interrupts).
+// jobMigrated logs one drain-migrated job (unconditionally: re-dispatch
+// handling is mandatory whenever faults are enabled, exactly like
+// interrupts).
 func (c *Cluster) jobMigrated(t sim.Time, j *Job) {
-	if c.async {
-		g := &c.shards[c.shardOf[j.Server]]
-		g.migrates = append(g.migrates, InterruptRec{At: t, J: j})
-		return
-	}
-	if c.OnMigrate != nil {
-		c.OnMigrate(t, j)
-	}
+	g := &c.shards[c.shardOf[j.Server]]
+	g.migrates = append(g.migrates, InterruptRec{At: t, J: j})
 }
 
-// jobInterrupted forwards one crash-evicted job: synchronously through
-// OnInterrupt in the strict tier, via the shard's interrupt log in async
-// mode (logging is unconditional there — requeue handling is mandatory
-// whenever faults are enabled).
+// jobInterrupted logs one crash-evicted job (unconditionally: requeue
+// handling is mandatory whenever faults are enabled).
 func (c *Cluster) jobInterrupted(t sim.Time, j *Job) {
-	if c.async {
-		g := &c.shards[c.shardOf[j.Server]]
-		g.interrupts = append(g.interrupts, InterruptRec{At: t, J: j})
-		return
-	}
-	if c.OnInterrupt != nil {
-		c.OnInterrupt(t, j)
-	}
+	g := &c.shards[c.shardOf[j.Server]]
+	g.interrupts = append(g.interrupts, InterruptRec{At: t, J: j})
 }
 
 // DownServers returns how many servers are currently crashed (parallel
@@ -544,30 +465,12 @@ func (c *Cluster) NextUp(from int) int {
 	return -1
 }
 
-// NextRepairAt returns the earliest scheduled repair instant among down
-// servers. Call only while at least one server is down.
-func (c *Cluster) NextRepairAt() sim.Time {
-	best := sim.Time(math.MaxFloat64)
-	found := false
-	for _, s := range c.servers {
-		if s.Down() {
-			if at := s.RepairAt(); !found || at < best {
-				best, found = at, true
-			}
-		}
-	}
-	if !found {
-		panic("cluster: NextRepairAt with no server down")
-	}
-	return best
-}
-
 // NextAvailAt returns the earliest instant an unavailable server's state can
 // next change: the soonest repair among down servers, or the soonest run-dry
 // instant among draining servers (whose graceful power-off then schedules the
 // real repair — parking there makes progress because the completion event
 // fires first at that instant). Call only while at least one server is
-// unavailable; with no drain model it equals NextRepairAt.
+// unavailable; with no drain model it is the soonest repair.
 func (c *Cluster) NextAvailAt() sim.Time {
 	best := sim.Time(math.MaxFloat64)
 	found := false
@@ -646,20 +549,14 @@ func (c *Cluster) serverUpdated(t sim.Time, s *Server) {
 	if g.idx != nil {
 		g.idx.Update(li, s.CommittedLoad())
 	}
-	if c.async {
-		if c.logChanges {
-			g.changes = append(g.changes, ChangeRec{
-				At:     t,
-				Server: int32(i),
-				Jobs:   int32(jobs),
-				Power:  s.Power(),
-				CU:     s.CommittedUtilization(),
-			})
-		}
-		return
-	}
-	if c.OnChange != nil {
-		c.OnChange(t)
+	if c.logChanges {
+		g.changes = append(g.changes, ChangeRec{
+			At:     t,
+			Server: int32(i),
+			Jobs:   int32(jobs),
+			Power:  s.Power(),
+			CU:     s.CommittedUtilization(),
+		})
 	}
 }
 
@@ -668,7 +565,7 @@ func (c *Cluster) serverUpdated(t sim.Time, s *Server) {
 // is the index within terms/hot. The per-term arithmetic is exactly the full
 // scan's, so the cached values are bitwise identical to freshly computed
 // ones. Shared verbatim by the per-shard partial state and the Merger's
-// strict-order global replay.
+// global replay.
 func updateReliTerms(terms []float64, hot []uint64, local int, u Resources, theta float64) {
 	denom := (1 - theta) * (1 - theta)
 	base := local * NumResources
@@ -721,28 +618,16 @@ func (g *shardGroup) reliPartial() float64 {
 }
 
 func (c *Cluster) serverTransition(t sim.Time, s *Server, from, to PowerState) {
-	if c.async {
-		if c.logTransitions {
-			g := &c.shards[c.shardOf[s.ID()]]
-			g.trans = append(g.trans, TransRec{At: t, Server: int32(s.ID()), From: from, To: to})
-		}
-		return
-	}
-	if c.OnTransition != nil {
-		c.OnTransition(t, s.ID(), from, to)
+	if c.logTransitions {
+		g := &c.shards[c.shardOf[s.ID()]]
+		g.trans = append(g.trans, TransRec{At: t, Server: int32(s.ID()), From: from, To: to})
 	}
 }
 
 func (c *Cluster) jobDone(t sim.Time, j *Job) {
 	g := &c.shards[c.shardOf[j.Server]]
 	g.completed++
-	if c.async {
-		g.dones = append(g.dones, DoneRec{At: t, J: j})
-		return
-	}
-	if c.OnJobDone != nil {
-		c.OnJobDone(t, j)
-	}
+	g.dones = append(g.dones, DoneRec{At: t, J: j})
 }
 
 // TotalPower returns the cluster's instantaneous draw in watts: the
@@ -822,8 +707,9 @@ func (c *Cluster) ServerClasses() []ServerClass { return c.cfg.Classes }
 // server event refreshes only that server's cached penalty terms and dirties
 // its shard's partial), reduced here in fixed ascending shard order. With
 // one shard this is the historical sparse ascending sum, bit for bit; the
-// parallel tier's bitwise-exact change feed instead flows through the
-// Merger, which replays the strict global summation order.
+// bitwise-exact change feed the DRL tier integrates flows through the
+// Merger instead, which replays the global summation order at every shard
+// count.
 func (c *Cluster) ReliabilityObj() float64 {
 	hot := c.shards[0].reliPartial()
 	maxJobs := c.shards[0].jobs.max
@@ -893,7 +779,7 @@ func (c *Cluster) Snapshot() *View {
 
 // SnapshotPrepare sizes v's slices for this cluster (allocating only when
 // not already sized) and stamps M, without refreshing any server state. The
-// parallel tier prepares the shared view once, then each shard worker
+// epoch engine prepares the shared view once, then each shard worker
 // refreshes its own disjoint range through SnapshotRange — the per-shard
 // view "buffers" alias non-overlapping sections of one backing array, so the
 // merge is free and the whole refresh is allocation-free once warm.

@@ -32,6 +32,23 @@ func (d *recordingDPM) OnArrival(_ sim.Time, _ *Server, st PowerState) {
 }
 func (d *recordingDPM) Observe(sim.Time, float64, int) {}
 
+// newOneShard builds a one-lane cluster on sm.
+func newOneShard(cfg Config, sm *sim.Simulator, dpmFactory func(int) DPMPolicy) (*Cluster, error) {
+	return NewSharded(cfg, []*sim.Simulator{sm}, dpmFactory)
+}
+
+// onEveryChange chains fn after the cluster's own per-server update hook, so
+// a test can inspect the live aggregates at every change point, mid-event,
+// exactly where the bookkeeping has just been updated.
+func onEveryChange(c *Cluster, fn func(t sim.Time)) {
+	for _, s := range c.servers {
+		s.SetHooks(func(t sim.Time, s *Server) {
+			c.serverUpdated(t, s)
+			fn(t)
+		}, c.jobDone)
+	}
+}
+
 func mkJob(id int, arrival, duration, cpu float64) *Job {
 	return &Job{
 		ID:       id,
@@ -343,9 +360,9 @@ func TestServerRejectsInvalidDPMTimeout(t *testing.T) {
 func TestClusterAggregates(t *testing.T) {
 	sm := sim.New()
 	cfg := DefaultConfig(4)
-	c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: 30} })
+	c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: 30} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	if c.M() != 4 {
 		t.Fatalf("M = %d", c.M())
@@ -356,9 +373,13 @@ func TestClusterAggregates(t *testing.T) {
 	}
 
 	var changes int
-	c.OnChange = func(sim.Time) { changes++ }
+	m := NewMerger(c)
+	m.OnChange = func(sim.Time, float64, int, float64) { changes++ }
 	var doneJobs []*Job
-	c.OnJobDone = func(_ sim.Time, j *Job) { doneJobs = append(doneJobs, j) }
+	drain := func() {
+		c.DrainChanges(m)
+		c.DrainDones(func(_ sim.Time, j *Job) { doneJobs = append(doneJobs, j) })
+	}
 
 	jobs := []*Job{mkJob(0, 0, 100, 0.4), mkJob(1, 5, 100, 0.4), mkJob(2, 10, 100, 0.4)}
 	targets := []int{0, 1, 0}
@@ -367,7 +388,9 @@ func TestClusterAggregates(t *testing.T) {
 		sm.Schedule(j.Arrival, func() { c.Submit(j, srv) })
 	}
 	sm.Run(40) // both servers awake and running by t=40
+	drain()
 	c.InvariantCheck()
+	m.InvariantCheck(c)
 	if c.JobsInSystem() != 3 {
 		t.Fatalf("jobs in system %d want 3", c.JobsInSystem())
 	}
@@ -375,13 +398,15 @@ func TestClusterAggregates(t *testing.T) {
 		t.Fatal("running cluster must draw power")
 	}
 	sm.RunAll(1000)
+	drain()
 	c.InvariantCheck()
+	m.InvariantCheck(c)
 	if len(doneJobs) != 3 || c.Completed() != 3 || c.Submitted() != 3 {
 		t.Fatalf("completion bookkeeping: done=%d completed=%d submitted=%d",
 			len(doneJobs), c.Completed(), c.Submitted())
 	}
 	if changes == 0 {
-		t.Fatal("OnChange never fired")
+		t.Fatal("no change records replayed")
 	}
 	if c.TotalPower() != 0 {
 		t.Fatalf("final power %v want 0 (all asleep)", c.TotalPower())
@@ -393,9 +418,9 @@ func TestClusterAggregates(t *testing.T) {
 
 func TestClusterSubmitBounds(t *testing.T) {
 	sm := sim.New()
-	c, err := New(DefaultConfig(2), sm, func(int) DPMPolicy { return fixedDPM{timeout: 0} })
+	c, err := newOneShard(DefaultConfig(2), sm, func(int) DPMPolicy { return fixedDPM{timeout: 0} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	defer func() {
 		if recover() == nil {
@@ -409,9 +434,9 @@ func TestReliabilityObj(t *testing.T) {
 	sm := sim.New()
 	cfg := DefaultConfig(2)
 	cfg.Server.InitialState = StateActive
-	c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: math.Inf(1)} })
+	c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: math.Inf(1)} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	if got := c.ReliabilityObj(); got != 0 {
 		t.Fatalf("empty cluster reliability %v want 0", got)
@@ -432,9 +457,9 @@ func TestSnapshot(t *testing.T) {
 	sm := sim.New()
 	cfg := DefaultConfig(3)
 	cfg.Server.InitialState = StateActive
-	c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: math.Inf(1)} })
+	c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: math.Inf(1)} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	j1 := &Job{ID: 0, Arrival: 0, Duration: 100, Req: Resources{0.7, 0.1, 0.1}, Server: -1}
 	j2 := &Job{ID: 1, Arrival: 0, Duration: 100, Req: Resources{0.7, 0.1, 0.1}, Server: -1}
@@ -469,7 +494,7 @@ func TestClusterRandomWorkloadProperty(t *testing.T) {
 		m := 2 + g.Intn(3)
 		cfg := DefaultConfig(m)
 		timeout := []float64{0, 30, 90, math.Inf(1)}[g.Intn(4)]
-		c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
+		c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
 		if err != nil {
 			return false
 		}
@@ -557,7 +582,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	sm := sim.New()
-	if _, err := New(DefaultConfig(2), sm, nil); err == nil {
+	if _, err := newOneShard(DefaultConfig(2), sm, nil); err == nil {
 		t.Fatal("nil DPM factory accepted")
 	}
 	if _, err := NewServer(0, sm, DefaultServerConfig(), nil); err == nil {

@@ -21,19 +21,20 @@ func TestLittlesLawConservation(t *testing.T) {
 		m := 1 + g.Intn(4)
 		cfg := DefaultConfig(m)
 		timeout := []float64{0, 45, math.Inf(1)}[g.Intn(3)]
-		c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
+		c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
 		if err != nil {
 			return false
 		}
 
-		// Integrate N(t) via the change feed.
+		// Integrate N(t) via the replayed change feed.
 		var integral float64
 		lastT := sim.Time(0)
 		lastN := 0
-		c.OnChange = func(now sim.Time) {
+		mg := NewMerger(c)
+		mg.OnChange = func(now sim.Time, _ float64, jobs int, _ float64) {
 			integral += float64(lastN) * float64(now-lastT)
 			lastT = now
-			lastN = c.JobsInSystem()
+			lastN = jobs
 		}
 
 		n := 3 + g.Intn(25)
@@ -55,6 +56,7 @@ func TestLittlesLawConservation(t *testing.T) {
 			sm.Schedule(j.Arrival, func() { c.Submit(j, srv) })
 		}
 		sm.RunAll(100000)
+		c.DrainChanges(mg)
 
 		var latencySum float64
 		for _, j := range jobs {
@@ -150,17 +152,17 @@ func TestReliabilityIncrementalEquivalence(t *testing.T) {
 		m := 1 + g.Intn(6)
 		cfg := DefaultConfig(m)
 		timeout := []float64{0, 45, math.Inf(1)}[g.Intn(3)]
-		c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
+		c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: timeout} })
 		if err != nil {
 			return false
 		}
 		ok := true
-		c.OnChange = func(sim.Time) {
+		onEveryChange(c, func(sim.Time) {
 			if inc, ref := c.ReliabilityObj(), c.reliabilityRecompute(); inc != ref {
 				t.Logf("seed %d: incremental %v != recomputed %v", seed, inc, ref)
 				ok = false
 			}
-		}
+		})
 		n := 5 + g.Intn(40)
 		tNow := 0.0
 		for i := 0; i < n; i++ {
@@ -189,9 +191,9 @@ func TestReliabilityIncrementalEquivalence(t *testing.T) {
 // warm View must not allocate.
 func TestSnapshotIntoMatchesSnapshotAndIsAllocFree(t *testing.T) {
 	sm := sim.New()
-	c, err := New(DefaultConfig(4), sm, func(int) DPMPolicy { return fixedDPM{timeout: 30} })
+	c, err := newOneShard(DefaultConfig(4), sm, func(int) DPMPolicy { return fixedDPM{timeout: 30} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	g := mat.NewRNG(9)
 	tNow := 0.0
@@ -232,17 +234,18 @@ func TestSnapshotIntoMatchesSnapshotAndIsAllocFree(t *testing.T) {
 func TestClusterEnergyMatchesPowerIntegral(t *testing.T) {
 	sm := sim.New()
 	cfg := DefaultConfig(3)
-	c, err := New(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: 40} })
+	c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return fixedDPM{timeout: 40} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	var integral float64
 	lastT := sim.Time(0)
 	lastP := c.TotalPower()
-	c.OnChange = func(now sim.Time) {
+	mg := NewMerger(c)
+	mg.OnChange = func(now sim.Time, power float64, _ int, _ float64) {
 		integral += lastP * float64(now-lastT)
 		lastT = now
-		lastP = c.TotalPower()
+		lastP = power
 	}
 	g := mat.NewRNG(4)
 	tNow := 0.0
@@ -254,6 +257,7 @@ func TestClusterEnergyMatchesPowerIntegral(t *testing.T) {
 		sm.Schedule(j.Arrival, func() { c.Submit(j, srv) })
 	}
 	sm.RunAll(100000)
+	c.DrainChanges(mg)
 	// Close the integral at the final instant.
 	integral += lastP * float64(sm.Now()-lastT)
 	want := c.TotalEnergyJoules(sm.Now())

@@ -7,19 +7,19 @@ import (
 	"hierdrl/internal/sim"
 )
 
-// The parallel tier's observation streams. Between two epoch barriers every
-// shard appends its server events to private logs (single writer: the shard's
-// worker); at the barrier the coordinator replays them through DrainChanges/
+// The epoch engine's observation streams. Between two epoch barriers every
+// shard appends its server events to private logs (single writer: the
+// goroutine stepping the shard's lane); at the barrier the coordinator replays them through DrainChanges/
 // DrainDones/DrainTrans in merged global time order. Per-shard logs are
 // time-sorted by construction (each lane's clock is monotone), so the merge
 // is a k-way min pick with ties broken by ascending shard index — making the
 // replayed order a pure function of simulated time and the fixed partition,
-// never of goroutine scheduling. That is the parallel tier's reproducibility
+// never of goroutine scheduling. That is the engine's reproducibility
 // contract (DESIGN.md §12).
 
 // ChangeRec is one aggregate-relevant server event: the server's post-event
 // power draw, jobs-in-system count, and committed utilization. It carries
-// everything the Merger needs to replay the strict tier's incremental global
+// everything the Merger needs to replay the single-sequence incremental global
 // bookkeeping arithmetic exactly.
 type ChangeRec struct {
 	At     sim.Time
@@ -299,16 +299,16 @@ func (c *Cluster) PendingLogs() bool {
 	return false
 }
 
-// Merger replays the parallel tier's merged change feed through the strict
-// tier's exact global bookkeeping: one incremental power accumulator, one
-// jobs-in-system counter, one global reliability term cache with the
-// ascending sparse summation, one jobs multiset. Because per-server state
-// evolution is shard-local (bitwise identical to strict) and the merged
-// record order equals the strict event order whenever no two shards fire at
-// the same instant, the (power, jobs, reliability) stream a DRL agent
-// observes through a Merger is bitwise identical to the strict tier's —
-// which is what keeps sharded learning runs equal to strict ones (DESIGN.md
-// §12 documents the simultaneity caveat).
+// Merger replays the merged change feed through one global bookkeeping
+// sequence: one incremental power accumulator, one jobs-in-system counter,
+// one global reliability term cache with the ascending sparse summation, one
+// jobs multiset. Because per-server state evolution is shard-local (bitwise
+// the same at every shard count) and the merged record order equals the
+// one-shard event order whenever no two shards fire at the same instant, the
+// (power, jobs, reliability) stream a DRL agent observes through a Merger is
+// bitwise the same at every P — which is what keeps sharded learning runs
+// equal to one-shard ones (DESIGN.md §12 documents the simultaneity caveat).
+// Building a Merger turns on the cluster's change log.
 type Merger struct {
 	theta        float64
 	totalPower   float64
@@ -326,7 +326,7 @@ type Merger struct {
 
 // NewMerger builds a Merger whose initial state replicates the cluster's
 // construction-time aggregates (the same ascending initial power summation
-// the strict constructor performs).
+// the constructor performs).
 func NewMerger(c *Cluster) *Merger {
 	m := &Merger{
 		theta:     c.cfg.HotSpotThreshold,
@@ -336,6 +336,7 @@ func NewMerger(c *Cluster) *Merger {
 		reliHot:   make([]uint64, (c.cfg.M+63)/64),
 	}
 	m.jobs.init(c.cfg.M)
+	c.logChanges = true
 	for i, s := range c.servers {
 		m.prevPower[i] = s.Power()
 		m.totalPower += s.Power()
@@ -343,7 +344,7 @@ func NewMerger(c *Cluster) *Merger {
 	return m
 }
 
-// Apply replays one change record through the strict global bookkeeping and
+// Apply replays one change record through the global bookkeeping and
 // fires OnChange.
 func (m *Merger) Apply(rec *ChangeRec) {
 	i := int(rec.Server)
@@ -367,7 +368,7 @@ func (m *Merger) TotalPower() float64 { return m.totalPower }
 // JobsInSystem returns the replayed global jobs-in-system counter.
 func (m *Merger) JobsInSystem() int { return m.jobsInSystem }
 
-// Reliability returns the replayed reliability objective: the strict tier's
+// Reliability returns the replayed reliability objective: the global
 // ascending sparse sum over the global term cache plus the max-jobs term.
 func (m *Merger) Reliability() float64 {
 	return sparseReliSum(m.reliTerms, m.reliHot) + float64(m.jobs.max)

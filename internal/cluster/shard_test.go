@@ -17,7 +17,7 @@ func (adHocTestDPM) OnIdle(sim.Time, *Server) float64        { return 0 }
 func (adHocTestDPM) OnArrival(sim.Time, *Server, PowerState) {}
 func (adHocTestDPM) Observe(sim.Time, float64, int)          {}
 
-func (shardTestDPM) OnIdle(sim.Time, *Server) float64       { return math.Inf(1) }
+func (shardTestDPM) OnIdle(sim.Time, *Server) float64        { return math.Inf(1) }
 func (shardTestDPM) OnArrival(sim.Time, *Server, PowerState) {}
 func (shardTestDPM) Observe(sim.Time, float64, int)          {}
 
@@ -136,12 +136,12 @@ func TestShardedAggregatesMatchStrict(t *testing.T) {
 	}
 }
 
-// TestAsyncMergerBitwise drives identical workloads through a strict cluster
-// (synchronous OnChange) and an async sharded cluster (logged changes,
-// Merger replay at barriers) and asserts the replayed observation stream —
-// (t, power, jobs, reliability) in merged time order — is bitwise identical
-// to the strict one. This is the exactness contract that keeps sharded DRL
-// runs equal to strict ones.
+// TestAsyncMergerBitwise drives identical workloads through a one-shard
+// cluster (its live aggregates read at every change point) and a 3-shard
+// cluster (logged changes, Merger replay at barriers) and asserts the
+// replayed observation stream — (t, power, jobs, reliability) in merged time
+// order — is bitwise identical to the one-shard one. This is the exactness
+// contract that keeps sharded DRL runs equal to one-shard ones.
 func TestAsyncMergerBitwise(t *testing.T) {
 	type obs struct {
 		t     sim.Time
@@ -152,14 +152,13 @@ func TestAsyncMergerBitwise(t *testing.T) {
 
 	var strictFeed []obs
 	strict, strictLanes := newShardedForTest(t, 12, 1)
-	strict.OnChange = func(tm sim.Time) {
+	onEveryChange(strict, func(tm sim.Time) {
 		strictFeed = append(strictFeed, obs{tm, strict.TotalPower(), strict.JobsInSystem(), strict.ReliabilityObj()})
-	}
+	})
 	driveSharded(t, strict, strictLanes, mat.NewRNG(7), 300)
 
 	var mergedFeed []obs
 	async, asyncLanes := newShardedForTest(t, 12, 3)
-	async.SetAsync(true, false)
 	m := NewMerger(async)
 	m.OnChange = func(tm sim.Time, power float64, jobs int, reli float64) {
 		mergedFeed = append(mergedFeed, obs{tm, power, jobs, reli})
@@ -222,7 +221,8 @@ func TestDrainOrderMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetAsync(true, true)
+	m := NewMerger(c)
+	c.LogTransitions()
 	// One job per server, durations chosen so completion order crosses
 	// shards: server 3 finishes first, then 1, then 2, then 0.
 	durations := []float64{40, 20, 30, 10}
@@ -249,9 +249,8 @@ func TestDrainOrderMerged(t *testing.T) {
 		}
 	}
 
-	// The change feed and (here empty-by-config) transition stream obey the
-	// same merged ordering: times monotone, ties resolved to the lower shard.
-	m := NewMerger(c)
+	// The change feed and the transition stream obey the same merged
+	// ordering: times monotone, ties resolved to the lower shard.
 	var changeTimes []sim.Time
 	m.OnChange = func(tm sim.Time, _ float64, _ int, _ float64) {
 		changeTimes = append(changeTimes, tm)

@@ -131,7 +131,7 @@ func (c *Cluster) runningJobs() [][]*Job {
 
 // SaveState serializes the cluster: the live job table, every server, and the
 // per-shard aggregates. extra lists live jobs held outside the cluster (the
-// parallel tier's allocated-but-uncommitted dispatches); the returned map
+// epoch engine's allocated-but-uncommitted dispatches); the returned map
 // gives every live job's table index so the caller can serialize its own
 // cross-references. Must be called at an event boundary with all shard
 // observation logs drained.

@@ -20,7 +20,7 @@ func (d statelessDPM) OnArrival(sim.Time, *Server, PowerState) {}
 func (d statelessDPM) Observe(sim.Time, float64, int)          {}
 func (d statelessDPM) CheckpointStateless()                    {}
 
-// doneRec is one OnJobDone observation, captured bit-exactly.
+// doneRec is one replayed completion, captured bit-exactly.
 type doneRec struct {
 	id   int
 	at   uint64
@@ -29,16 +29,25 @@ type doneRec struct {
 	wait uint64
 }
 
-func recordDones(c *Cluster, out *[]doneRec) {
-	c.OnJobDone = func(t sim.Time, j *Job) {
-		*out = append(*out, doneRec{
-			id:   j.ID,
-			at:   math.Float64bits(float64(t)),
-			fin:  math.Float64bits(float64(j.Finished)),
-			srv:  j.Server,
-			wait: math.Float64bits(float64(j.Started - j.Arrival)),
-		})
-	}
+// drainObs replays c's completion and crash-eviction logs into dones and
+// lost (nil discards), leaving the logs empty as SaveState requires.
+func drainObs(c *Cluster, dones *[]doneRec, lost *[]int) {
+	c.DrainDones(func(t sim.Time, j *Job) {
+		if dones != nil {
+			*dones = append(*dones, doneRec{
+				id:   j.ID,
+				at:   math.Float64bits(float64(t)),
+				fin:  math.Float64bits(float64(j.Finished)),
+				srv:  j.Server,
+				wait: math.Float64bits(float64(j.Started - j.Arrival)),
+			})
+		}
+	})
+	c.DrainInterrupts(func(_ sim.Time, j *Job) {
+		if lost != nil {
+			*lost = append(*lost, j.ID)
+		}
+	})
 }
 
 // finals collects the cluster-level aggregate observables whose bits must
@@ -94,10 +103,10 @@ func roundTrip(t *testing.T, c *Cluster, sm *sim.Simulator, mk func() (*Cluster,
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	seq, prioSeq, nFired := sm.Counters()
+	seq, nFired := sm.Counters()
 
 	c2, sm2 := mk()
-	sm2.RestoreBegin(sm.Now(), seq, prioSeq, nFired)
+	sm2.RestoreBegin(sm.Now(), seq, nFired)
 	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -123,9 +132,9 @@ func TestClusterCheckpointRoundTripFaultFree(t *testing.T) {
 	cfg := DefaultConfig(4)
 	mk := func() (*Cluster, *sim.Simulator) {
 		sm := sim.New()
-		c, err := New(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
+		c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("newOneShard: %v", err)
 		}
 		return c, sm
 	}
@@ -133,6 +142,7 @@ func TestClusterCheckpointRoundTripFaultFree(t *testing.T) {
 	c1, sm1 := mk()
 	buildWorkload(sm1, c1, 24)
 	sm1.Run(10) // all arrivals fired; completions and DPM timers pending
+	drainObs(c1, nil, nil)
 
 	if got := c1.JobsInSystem(); got == 0 {
 		t.Fatal("workload drained before the checkpoint instant; test needs live jobs")
@@ -141,10 +151,10 @@ func TestClusterCheckpointRoundTripFaultFree(t *testing.T) {
 	c2, sm2 := roundTrip(t, c1, sm1, mk)
 
 	var dones1, dones2 []doneRec
-	recordDones(c1, &dones1)
-	recordDones(c2, &dones2)
 	sm1.RunAll(1 << 20)
 	sm2.RunAll(1 << 20)
+	drainObs(c1, &dones1, nil)
+	drainObs(c2, &dones2, nil)
 
 	if f1, f2 := snapshotFinals(c1, sm1), snapshotFinals(c2, sm2); f1 != f2 {
 		t.Fatalf("final aggregates diverge:\n  reference %+v\n  restored  %+v", f1, f2)
@@ -170,31 +180,28 @@ func TestClusterCheckpointRoundTripWithFaults(t *testing.T) {
 		t.Fatalf("NewExpCrash: %v", err)
 	}
 	var lost1, lost2 []int
-	mk := func(lost *[]int) func() (*Cluster, *sim.Simulator) {
-		return func() (*Cluster, *sim.Simulator) {
-			sm := sim.New()
-			c, err := New(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			c.EnableFaults(model.ClockFor, fault.KindCrash, 1)
-			c.OnInterrupt = func(t sim.Time, j *Job) { *lost = append(*lost, j.ID) }
-			return c, sm
+	mk := func() (*Cluster, *sim.Simulator) {
+		sm := sim.New()
+		c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
+		if err != nil {
+			t.Fatalf("newOneShard: %v", err)
 		}
+		c.EnableFaults(model.ClockFor, fault.KindCrash, 1)
+		return c, sm
 	}
 
-	c1, sm1 := mk(&lost1)()
+	c1, sm1 := mk()
 	buildWorkload(sm1, c1, 24)
 	sm1.Run(10)
+	drainObs(c1, nil, &lost1)
 	preLost := len(lost1)
 
-	c2, sm2 := roundTrip(t, c1, sm1, mk(&lost2))
+	c2, sm2 := roundTrip(t, c1, sm1, mk)
 
-	var dones1, dones2 []doneRec
-	recordDones(c1, &dones1)
-	recordDones(c2, &dones2)
 	sm1.Run(60)
 	sm2.Run(60)
+	drainObs(c1, nil, &lost1)
+	drainObs(c2, nil, &lost2)
 
 	if f1, f2 := snapshotFinals(c1, sm1), snapshotFinals(c2, sm2); f1 != f2 {
 		t.Fatalf("final aggregates diverge:\n  reference %+v\n  restored  %+v", f1, f2)
@@ -219,9 +226,9 @@ func TestClusterCheckpointRoundTripWithFaults(t *testing.T) {
 func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 	cfg := DefaultConfig(2)
 	sm := sim.New()
-	c, err := New(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
+	c, err := newOneShard(cfg, sm, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	w := checkpoint.NewWriter(0)
 	c.SaveState(w.Section("cluster"), nil)
@@ -231,14 +238,14 @@ func TestClusterRestoreFaultFlagMismatch(t *testing.T) {
 	}
 
 	sm2 := sim.New()
-	c2, err := New(cfg, sm2, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
+	c2, err := newOneShard(cfg, sm2, func(int) DPMPolicy { return statelessDPM{timeout: 3} })
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("newOneShard: %v", err)
 	}
 	model, _ := fault.NewExpCrash(1, 100, 10)
 	c2.EnableFaults(model.ClockFor, fault.KindCrash, 1)
-	seq, prioSeq, nFired := sm.Counters()
-	sm2.RestoreBegin(sm.Now(), seq, prioSeq, nFired)
+	seq, nFired := sm.Counters()
+	sm2.RestoreBegin(sm.Now(), seq, nFired)
 
 	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {

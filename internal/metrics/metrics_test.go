@@ -21,17 +21,29 @@ func buildCluster(t *testing.T, m int) (*sim.Simulator, *cluster.Cluster) {
 	sm := sim.New()
 	cfg := cluster.DefaultConfig(m)
 	cfg.Server.InitialState = cluster.StateActive
-	c, err := cluster.New(cfg, sm, func(int) cluster.DPMPolicy { return alwaysOn{} })
+	c, err := cluster.NewSharded(cfg, []*sim.Simulator{sm}, func(int) cluster.DPMPolicy { return alwaysOn{} })
 	if err != nil {
-		t.Fatalf("cluster.New: %v", err)
+		t.Fatalf("cluster.NewSharded: %v", err)
 	}
 	return sm, c
+}
+
+// runAll fires every pending event (at most maxEvents), replaying each
+// completion into col right after the event that logged it, so checkpoints
+// are stamped at their completion instants.
+func runAll(t *testing.T, sm *sim.Simulator, c *cluster.Cluster, col *Collector, maxEvents int) {
+	t.Helper()
+	for n := 0; sm.Step(); n++ {
+		if n >= maxEvents {
+			t.Fatalf("more than %d events", maxEvents)
+		}
+		c.DrainDones(col.JobDone)
+	}
 }
 
 func TestCollectorAccumulatesAndCheckpoints(t *testing.T) {
 	sm, c := buildCluster(t, 2)
 	col := NewCollector(c, 2)
-	c.OnJobDone = col.JobDone
 
 	for i := 0; i < 4; i++ {
 		j := &cluster.Job{
@@ -41,7 +53,7 @@ func TestCollectorAccumulatesAndCheckpoints(t *testing.T) {
 		i := i
 		sm.Schedule(j.Arrival, func() { c.Submit(j, i%2) })
 	}
-	sm.RunAll(1000)
+	runAll(t, sm, c, col, 1000)
 
 	if col.Completed() != 4 {
 		t.Fatalf("completed %d want 4", col.Completed())
@@ -67,12 +79,11 @@ func TestCollectorAccumulatesAndCheckpoints(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	sm, c := buildCluster(t, 2)
 	col := NewCollector(c, 0)
-	c.OnJobDone = col.JobDone
 
 	j := &cluster.Job{ID: 0, Arrival: 0, Duration: 100,
 		Req: cluster.Resources{0.5, 0.1, 0.1}, Server: -1}
 	sm.Schedule(0, func() { c.Submit(j, 0) })
-	sm.RunAll(100)
+	runAll(t, sm, c, col, 100)
 	sm.Run(200) // idle tail
 
 	s := col.Summarize("test", sm.Now())

@@ -16,7 +16,6 @@ import (
 func TestCollectorStateRoundTrip(t *testing.T) {
 	sm, c := buildCluster(t, 2)
 	col1 := NewCollector(c, 2)
-	c.OnJobDone = col1.JobDone
 	for i := 0; i < 5; i++ {
 		j := &cluster.Job{
 			ID: i, Arrival: sim.Time(i * 10), Duration: 30,
@@ -25,7 +24,7 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 		i := i
 		sm.Schedule(j.Arrival, func() { c.Submit(j, i%2) })
 	}
-	sm.RunAll(1000)
+	runAll(t, sm, c, col1, 1000)
 	col1.SetFaultTallies(3, 4, 2, 1, 5, 17.5)
 	if col1.Completed() != 5 || len(col1.Checkpoints()) != 2 {
 		t.Fatalf("precondition: %d completed, %d checkpoints", col1.Completed(), len(col1.Checkpoints()))
@@ -40,7 +39,6 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 
 	sm2, c2 := buildCluster(t, 2)
 	col2 := NewCollector(c2, 2)
-	c2.OnJobDone = col2.JobDone
 	rd, err := checkpoint.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -82,7 +80,7 @@ func TestCollectorStateRoundTrip(t *testing.T) {
 	sm2.Schedule(sm2.Now(), func() { c2.Submit(j, 0) })
 	j2 := &cluster.Job{ID: 91, Arrival: 0, Duration: 30, Req: cluster.Resources{0.2, 0.1, 0.1}, Server: -1}
 	sm2.Schedule(sm2.Now(), func() { c2.Submit(j2, 1) })
-	sm2.RunAll(1000)
+	runAll(t, sm2, c2, col2, 1000)
 	if col2.Completed() != 7 || len(col2.Checkpoints()) != 3 {
 		t.Fatalf("post-restore cadence: %d completed, %d checkpoints", col2.Completed(), len(col2.Checkpoints()))
 	}

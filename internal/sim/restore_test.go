@@ -1,15 +1,13 @@
 package sim
 
 import (
-	"math"
 	"testing"
 )
 
-// Serializing a live event queue as (now, seq, prioSeq, nFired) plus each
-// pending timer's exact (at, seq) key and rebuilding it in a fresh simulator
-// must reproduce the original firing order and timestamps bit for bit —
-// including mixed priority/normal lanes, same-instant ties, and timers
-// scheduled after the restore point.
+// Serializing a live event queue as (now, seq, nFired) plus each pending
+// timer's exact (at, seq) key and rebuilding it in a fresh simulator must
+// reproduce the original firing order and timestamps bit for bit —
+// including same-instant ties and timers scheduled after the restore point.
 func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	type fired struct {
 		label string
@@ -24,9 +22,9 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 			return func(any) { *log = append(*log, fired{label, s.Now()}) }
 		}
 		add("n1", s.ScheduleArg(10, mk("n1"), nil))
-		add("p1", s.SchedulePriorityArg(10, mk("p1"), nil))
+		add("m1", s.ScheduleArg(10, mk("m1"), nil))
 		add("n2", s.ScheduleArg(10, mk("n2"), nil))
-		add("p2", s.SchedulePriorityArg(5, mk("p2"), nil))
+		add("m2", s.ScheduleArg(5, mk("m2"), nil))
 		add("n3", s.ScheduleArg(3, mk("n3"), nil))
 		add("c1", s.ScheduleArg(7, mk("c1"), nil))
 		return s, log, timers
@@ -42,7 +40,7 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	s, log, timers := build()
 	timers["c1"].Cancel()
 	s.Step() // n3 at 3
-	s.Step() // p2 at 5
+	s.Step() // m2 at 5
 
 	type savedTimer struct {
 		label string
@@ -50,21 +48,21 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 		seq   int64
 	}
 	var saved []savedTimer
-	for _, label := range []string{"n1", "p1", "n2"} {
+	for _, label := range []string{"n1", "m1", "n2"} {
 		tm := timers[label]
 		if !tm.Pending() {
 			t.Fatalf("timer %s not pending at snapshot", label)
 		}
 		saved = append(saved, savedTimer{label, tm.At(), tm.Seq()})
 	}
-	now, seq, prioSeq, nFired := s.Now(), s.seq, s.prioSeq, s.Fired()
+	now, seq, nFired := s.Now(), s.seq, s.Fired()
 
 	// Restore into a simulator that has unrelated history of its own.
 	r := New()
 	r.ScheduleArg(1, func(any) {}, nil)
 	r.Step()
 	rlog := &[]fired{}
-	r.RestoreBegin(now, seq, prioSeq, nFired)
+	r.RestoreBegin(now, seq, nFired)
 	if r.Pending() != 0 {
 		t.Fatalf("pending after RestoreBegin = %d", r.Pending())
 	}
@@ -77,8 +75,8 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	if r.Now() != now || r.Fired() != nFired {
 		t.Fatalf("restored clock/fired = (%v,%d), want (%v,%d)", r.Now(), r.Fired(), now, nFired)
 	}
-	// A post-restore normal-lane event at t=10 must sort after n1/n2 (earlier
-	// seqs) exactly as it would have in the original.
+	// A post-restore event at t=10 must sort after n1/m1/n2 (earlier seqs)
+	// exactly as it would have in the original.
 	r.ScheduleArg(10, func(any) { *rlog = append(*rlog, fired{"post", r.Now()}) }, nil)
 	s.ScheduleArg(10, func(any) { *log = append(*log, fired{"post", s.Now()}) }, nil)
 
@@ -88,7 +86,7 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	}
 
 	// Original-with-snapshot == original straight through (plus "post").
-	wantTail := []string{"p1", "n1", "n2", "post"}
+	wantTail := []string{"n1", "m1", "n2", "post"}
 	checkTail := func(name string, got []fired) {
 		t.Helper()
 		if len(got) < len(wantTail) {
@@ -110,8 +108,8 @@ func TestRestoreRoundTripFiringOrder(t *testing.T) {
 	if s.Fired() != r.Fired() {
 		t.Fatalf("fired counts diverge: %d vs %d", s.Fired(), r.Fired())
 	}
-	if s.seq != r.seq || s.prioSeq != r.prioSeq {
-		t.Fatalf("lane counters diverge: (%d,%d) vs (%d,%d)", s.seq, s.prioSeq, r.seq, r.prioSeq)
+	if s.seq != r.seq {
+		t.Fatalf("sequence counters diverge: %d vs %d", s.seq, r.seq)
 	}
 }
 
@@ -119,11 +117,11 @@ func TestTimerSeq(t *testing.T) {
 	s := New()
 	tm := s.ScheduleArg(1, func(any) {}, nil)
 	if tm.Seq() != 0 {
-		t.Fatalf("first normal seq = %d", tm.Seq())
+		t.Fatalf("first seq = %d", tm.Seq())
 	}
-	tm2 := s.SchedulePriorityArg(1, func(any) {}, nil)
-	if tm2.Seq() != math.MinInt64/2 {
-		t.Fatalf("first priority seq = %d", tm2.Seq())
+	tm2 := s.ScheduleArg(1, func(any) {}, nil)
+	if tm2.Seq() != 1 {
+		t.Fatalf("second seq = %d", tm2.Seq())
 	}
 	s.Step()
 	s.Step()
@@ -143,11 +141,11 @@ func TestRestoreBeginReleasesCancelled(t *testing.T) {
 	}
 	tms[3].Cancel()
 	tms[7].Cancel()
-	s.RestoreBegin(42, 100, prioSeqBase+5, 7)
+	s.RestoreBegin(42, 100, 7)
 	if s.Pending() != 0 || s.queueLen() != 0 {
 		t.Fatalf("queue not empty after RestoreBegin: pending=%d heap=%d", s.Pending(), s.queueLen())
 	}
-	if s.Now() != 42 || s.Fired() != 7 || s.seq != 100 || s.prioSeq != prioSeqBase+5 {
+	if s.Now() != 42 || s.Fired() != 7 || s.seq != 100 {
 		t.Fatal("counters not restored")
 	}
 	// Arena slots must be reusable.
@@ -156,7 +154,7 @@ func TestRestoreBeginReleasesCancelled(t *testing.T) {
 		t.Fatal("ScheduleRestored after RestoreBegin broken")
 	}
 	// Counters must not advance on restored schedules.
-	if s.seq != 100 || s.prioSeq != prioSeqBase+5 {
-		t.Fatal("ScheduleRestored advanced lane counters")
+	if s.seq != 100 {
+		t.Fatal("ScheduleRestored advanced the sequence counter")
 	}
 }

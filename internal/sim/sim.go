@@ -26,13 +26,6 @@ type Time float64
 // Seconds returns the time as a raw float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// prioSeqBase is the starting sequence number of the priority lane (see
-// SchedulePriorityArg). Priority sequence numbers count up from here and
-// normal sequence numbers count up from zero, so every priority event orders
-// before every normal event at the same instant while both lanes stay FIFO
-// among themselves.
-const prioSeqBase = math.MinInt64 / 2
-
 // slot is one pooled timer. A slot cycles free -> pending -> (cancelled ->)
 // free; gen increments on every release so stale handles can never observe a
 // recycled slot.
@@ -117,15 +110,14 @@ type Simulator struct {
 	free  []int32 // recycled slot indices
 	heap  []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
 
-	seq        int64 // next normal-lane sequence number
-	prioSeq    int64 // next priority-lane sequence number
+	seq        int64 // next sequence number
 	live       int   // scheduled and not cancelled
 	nCancelled int   // cancelled entries still in the heap
 	nFired     int64
 }
 
 // New returns a simulator with the clock at 0.
-func New() *Simulator { return &Simulator{prioSeq: prioSeqBase} }
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
@@ -170,18 +162,6 @@ func (s *Simulator) ScheduleAfterArg(delay float64, fn func(any), arg any) Timer
 	return s.ScheduleArg(s.now+Time(delay), fn, arg)
 }
 
-// SchedulePriorityArg registers fn(arg) in the priority lane: at equal
-// timestamps a priority event fires before every normal event, and priority
-// events fire FIFO among themselves. The trace pump uses it so a streamed
-// arrival takes the exact queue position an up-front-scheduled arrival would
-// have had (arrivals were historically all scheduled before the run began,
-// giving them the smallest sequence numbers).
-func (s *Simulator) SchedulePriorityArg(at Time, fn func(any), arg any) Timer {
-	tm := s.schedule(at, fn, arg, s.prioSeq)
-	s.prioSeq++
-	return tm
-}
-
 func (s *Simulator) schedule(at Time, fn func(any), arg any, seq int64) Timer {
 	if fn == nil {
 		panic("sim: Schedule with nil callback")
@@ -212,12 +192,12 @@ func (s *Simulator) schedule(at Time, fn func(any), arg any, seq int64) Timer {
 }
 
 // RestoreBegin resets the simulator to an empty queue positioned at a
-// checkpointed instant: clock at now, lane counters at the saved seq/prioSeq,
+// checkpointed instant: clock at now, the sequence counter at the saved seq,
 // and the fired count at nFired. Existing slots are released (outstanding
 // handles are invalidated via the generation bump) but the arena itself is
 // kept, so restoration reuses the allocation. Callers follow up with one
 // ScheduleRestored per live checkpointed timer.
-func (s *Simulator) RestoreBegin(now Time, seq, prioSeq, nFired int64) {
+func (s *Simulator) RestoreBegin(now Time, seq, nFired int64) {
 	for _, idx := range s.heap {
 		if s.slots[idx].cancelled {
 			s.nCancelled--
@@ -232,15 +212,12 @@ func (s *Simulator) RestoreBegin(now Time, seq, prioSeq, nFired int64) {
 	}
 	s.now = now
 	s.seq = seq
-	s.prioSeq = prioSeq
 	s.nFired = nFired
 }
 
 // ScheduleRestored re-registers a checkpointed timer with its exact original
-// (at, seq) key, without advancing either lane counter — the counters were
-// already restored wholesale by RestoreBegin. Unlike Schedule it accepts
-// at == now with any seq relation, since a restored queue legitimately holds
-// same-instant events from both lanes.
+// (at, seq) key, without advancing the sequence counter — the counters were
+// already restored wholesale by RestoreBegin.
 func (s *Simulator) ScheduleRestored(at Time, seq int64, fn func(any), arg any) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: ScheduleRestored in the past: %v < now %v", at, s.now))
@@ -248,11 +225,11 @@ func (s *Simulator) ScheduleRestored(at Time, seq int64, fn func(any), arg any) 
 	return s.schedule(at, fn, arg, seq)
 }
 
-// Counters returns the lane's monotone bookkeeping — the next normal and
-// priority sequence numbers and the fired-event count — exactly the values a
-// later RestoreBegin needs to reproduce this lane's scheduling behavior.
-func (s *Simulator) Counters() (seq, prioSeq, nFired int64) {
-	return s.seq, s.prioSeq, s.nFired
+// Counters returns the lane's monotone bookkeeping — the next sequence
+// number and the fired-event count — exactly the values a later
+// RestoreBegin needs to reproduce this lane's scheduling behavior.
+func (s *Simulator) Counters() (seq, nFired int64) {
+	return s.seq, s.nFired
 }
 
 // ForEachPending calls fn for every scheduled, non-cancelled event, in
@@ -319,11 +296,10 @@ func (s *Simulator) Run(until Time) {
 
 // RunBefore fires every event scheduled strictly before t, leaving the clock
 // at the last fired event (it never advances the clock to t on its own). It
-// is the per-lane stepping primitive of the sharded engine: between two
+// is the per-lane stepping primitive of the epoch engine: between two
 // decision epochs every shard runs its own lane up to — but excluding — the
-// epoch instant, so an epoch-time dispatch still precedes same-instant lane
-// events exactly as the strict tier's priority-lane arrivals do. It reports
-// the number of events fired.
+// epoch instant, so an arrival dispatched at that instant precedes every
+// same-instant lane event. It reports the number of events fired.
 func (s *Simulator) RunBefore(t Time) int {
 	n := 0
 	for {
@@ -339,7 +315,7 @@ func (s *Simulator) RunBefore(t Time) int {
 // AdvanceTo moves the clock forward to t without firing anything. It panics
 // if t is in the past or if an event strictly before t is still pending —
 // jumping over a scheduled event would corrupt the simulation order. The
-// sharded engine uses it to position a quiescent lane at the epoch instant
+// epoch engine uses it to position a quiescent lane at the epoch instant
 // before committing a dispatch.
 func (s *Simulator) AdvanceTo(t Time) {
 	if t < s.now {

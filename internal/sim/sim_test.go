@@ -339,24 +339,6 @@ func TestCompactionWithAllEntriesCancelled(t *testing.T) {
 	}
 }
 
-// Priority-lane events at a tied timestamp fire before every normal event —
-// even normal events scheduled earlier — and FIFO among themselves.
-func TestPriorityLaneWinsTimestampTies(t *testing.T) {
-	s := New()
-	var order []string
-	s.Schedule(5, func() { order = append(order, "normal1") })
-	s.Schedule(5, func() { order = append(order, "normal2") })
-	s.SchedulePriorityArg(5, func(a any) { order = append(order, a.(string)) }, "prio1")
-	s.SchedulePriorityArg(5, func(a any) { order = append(order, a.(string)) }, "prio2")
-	s.RunAll(10)
-	want := []string{"prio1", "prio2", "normal1", "normal2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v want %v", order, want)
-		}
-	}
-}
-
 // Property: random schedules always fire in non-decreasing time order and
 // the clock matches the last event fired.
 func TestChronologicalProperty(t *testing.T) {

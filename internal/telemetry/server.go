@@ -13,9 +13,9 @@ import (
 // Server is the session's observability endpoint. It serves only immutable
 // byte blobs published by the simulation driver at barrier-time boundaries
 // (plus process self-metrics sampled at scrape time), so the HTTP
-// goroutines never touch live simulation state — strict-tier bitwise
-// goldens and the parallel tier's determinism contract are unaffected by
-// scrapes (DESIGN.md §17).
+// goroutines never touch live simulation state — the bitwise goldens and
+// the sharded determinism contract are unaffected by scrapes (DESIGN.md
+// §17).
 //
 //	/metrics        Prometheus text: published sim metrics + process gauges
 //	/healthz        200 "ok" liveness probe

@@ -23,8 +23,8 @@ func Run(cfg Config, tr *Trace) (*Result, error) {
 }
 
 // RunWith is Run with session options — most usefully WithShards(P) to
-// execute one large run on P cores (the parallel tier), and WithObserver to
-// watch a batch run live.
+// execute one large run on P cores, and WithObserver to watch a batch run
+// live.
 func RunWith(cfg Config, tr *Trace, opts ...SessionOption) (*Result, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, fmt.Errorf("hierdrl: empty trace")

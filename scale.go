@@ -80,7 +80,7 @@ func RunStreamed(cfg Config, src *TraceStream, opts ...SessionOption) (*Result, 
 // arrival before the next chunk is pulled, so neither the workload nor the
 // pending queue ever materializes more than chunk+in-flight jobs. This is
 // how the scale presets push >= 2M jobs through a 10k-server cluster in a
-// few hundred MB. Combine with WithShards(P) for the parallel tier.
+// few hundred MB. Combine with WithShards(P) to spread it over P cores.
 func RunSource(cfg Config, src JobSource, opts ...SessionOption) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("hierdrl: nil job source")

@@ -29,8 +29,10 @@ var ErrSessionClosed = errors.New("hierdrl: session closed")
 // nil check on the hot path (no interface dispatch, no boxing) and callers
 // implement only what they need.
 //
-// All callbacks run synchronously on the simulation path; they must not call
-// back into the Session.
+// Every callback runs on the driving goroutine at an epoch barrier, while
+// the coordinator replays the shards' observation logs in merged (time,
+// shard) order: all lanes are quiescent, so a callback may take a Session
+// snapshot, but it must not advance the clock or submit work.
 type Observer struct {
 	// OnJobDone fires at each job completion, before the job object is
 	// recycled into the session's pool — read what you need, do not retain j.
@@ -84,9 +86,8 @@ func WithObserver(obs Observer) SessionOption {
 }
 
 // WithContext attaches a cancellation context: Step, StepUntil and Drain
-// return ctx.Err() once ctx is done (checked between events, every few
-// hundred events on long drains). The default context never cancels and
-// costs nothing per event.
+// return ctx.Err() once ctx is done (checked at every decision epoch). The
+// default context never cancels and costs nothing per epoch.
 func WithContext(ctx context.Context) SessionOption {
 	return func(o *sessionOptions) {
 		if ctx != nil {
@@ -101,17 +102,15 @@ func WithExpectedJobs(n int) SessionOption {
 	return func(o *sessionOptions) { o.expectJobs = n }
 }
 
-// WithShards selects the session's execution tier. p <= 1 (the default) is
-// the strict tier: one event lane, one goroutine, bitwise-reproducible
-// against the historical engine. p >= 2 is the parallel tier: the cluster is
-// partitioned into p contiguous server groups, each stepped on its own event
-// lane by its own worker, synchronizing only at arrival decision epochs
-// (see shard_engine.go and DESIGN.md §12 for the determinism contract:
-// results at a fixed p are bitwise reproducible run to run and match the
-// strict tier within documented tolerance). The DRL warmup pass, when
-// configured, always runs strict — sharding applies to the measured session.
-//
-// A sharded session owns p worker goroutines; Close releases them.
+// WithShards partitions the cluster into p contiguous server groups (p <= 1,
+// the default, is one group), each stepped on its own event lane and
+// synchronized only at arrival decision epochs (see shard_engine.go and
+// DESIGN.md §12 for the determinism contract: results at a fixed p are
+// bitwise reproducible run to run, and match p = 1 within documented
+// tolerance). Shard 0 runs inline on the driving goroutine; each further
+// shard owns a worker goroutine, which Close releases. The DRL warmup pass,
+// when configured, always runs on one shard — sharding applies to the
+// measured session.
 func WithShards(p int) SessionOption {
 	return func(o *sessionOptions) { o.shards = p }
 }
@@ -134,7 +133,6 @@ func WithShards(p int) SessionOption {
 type Session struct {
 	cfg   Config
 	agent *global.Agent
-	sm    *sim.Simulator
 	cl    *cluster.Cluster
 	alloc Allocator
 	col   *metrics.Collector
@@ -145,26 +143,16 @@ type Session struct {
 
 	// Ingestion: pending arrivals ordered by (arrival, submission order),
 	// consumed through qhead so steady-state streaming reuses the backing
-	// array. Exactly one pump timer is armed while arrivals are pending.
-	queue     []trace.Job
-	qhead     int
-	pumpTimer sim.Timer
-	ingested  int64
+	// array. The engine pulls the head arrival at each decision epoch.
+	queue    []trace.Job
+	qhead    int
+	ingested int64
 
 	// pool recycles completed cluster jobs (steady-state arrivals allocate
-	// nothing); view is the reused allocator snapshot.
+	// nothing).
 	pool []*cluster.Job
-	view cluster.View
 
-	// Allocator fast paths, classified once at construction: fastLL answers
-	// least-loaded from the cluster's incremental per-shard index (no O(M)
-	// snapshot scan per arrival), viewFree skips the snapshot refresh for
-	// allocators that never read server state (round-robin, random). Both
-	// produce bitwise-identical decisions to the snapshot path.
-	fastLL   bool
-	viewFree bool
-
-	// sr drives the parallel tier (nil in the strict tier).
+	// sr is the epoch engine that advances the clock (shard_engine.go).
 	sr *shardRunner
 
 	// auto is the periodic snapshot-to-disk layer (nil unless configured
@@ -199,9 +187,9 @@ type Session struct {
 	domSize       []int32
 	domainOutages int64
 
-	// err latches the first terminal error (context cancellation or guard
-	// trip): all further clock advances return it and Result reports a
-	// partial run instead of misleading metrics.
+	// err latches the first terminal error (context cancellation or
+	// event-budget guard trip): all further clock advances return it and
+	// Result reports a partial run instead of misleading metrics.
 	err error
 
 	finished bool
@@ -249,8 +237,9 @@ func NewSession(cfg Config, opts ...SessionOption) (*Session, error) {
 	return newPass(cfg, agent, rng.Split(), cfg.CheckpointEvery, o)
 }
 
-// newPass builds the per-pass state: simulator, cluster (one power manager
-// per server through the registry), allocator, and collector. Both the
+// newPass builds the per-pass state: event lanes, cluster (one power manager
+// per server through the registry), allocator, collector, and the epoch
+// engine with its lane workers. Both the
 // measured session and the warmup rollout are passes; the agent (if any)
 // persists across them so learning accumulates.
 func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int, o sessionOptions) (*Session, error) {
@@ -258,17 +247,14 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	if p < 1 {
 		p = 1
 	}
-	if o.etraceCap > 0 && p < 2 {
-		return nil, errors.New("hierdrl: WithEpochTrace requires WithShards(p >= 2)")
-	}
 	lanes := make([]*sim.Simulator, p)
 	for i := range lanes {
 		lanes[i] = sim.New()
 	}
-	// The factory callback cannot return an error through cluster.New, and
+	// The factory callback cannot return an error through NewSharded, and
 	// registered factories may legitimately fail (external policies validate
 	// inside their factory): capture the first failure and surface it. The
-	// nil policy makes cluster.New abort on that server, so no partially
+	// nil policy makes NewSharded abort on that server, so no partially
 	// built cluster escapes.
 	var pmErr error
 	cl, err := cluster.NewSharded(cfg.Cluster, lanes, func(id int) cluster.DPMPolicy {
@@ -299,7 +285,6 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 	s := &Session{
 		cfg:   cfg,
 		agent: agent,
-		sm:    lanes[0],
 		cl:    cl,
 		alloc: alloc,
 		col:   metrics.NewCollector(cl, checkpointEvery),
@@ -314,18 +299,23 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 		// sketch-only they also replace the per-job sample slices entirely.
 		s.col.EnableSketches(telemetry.NewSketchSet(p), o.sketchOnly)
 	}
+	r := &shardRunner{s: s, p: p}
+	s.sr = r
 	// Classify the allocator's state needs once: least-loaded runs off the
 	// cluster's incremental per-shard load index (enabled here so it is
 	// maintained from the first event), round-robin and random never read
-	// server state, everything else gets a refreshed snapshot per arrival.
+	// server state (M is the only view field they read), everything else
+	// gets a refreshed view per arrival.
 	switch alloc.(type) {
 	case *policy.LeastLoaded:
-		s.fastLL = true
+		r.fastLL = true
 		cl.EnableLoadIndex()
 	case *policy.RoundRobin, *policy.Random:
-		s.viewFree = true
-		cl.SnapshotPrepare(&s.view) // M is the only field such allocators read
+		// View-free: the prepared view's M suffices.
+	default:
+		r.needsView = true
 	}
+	cl.SnapshotPrepare(&r.view)
 
 	if fm != nil {
 		s.fm, s.rp = fm, rp
@@ -346,70 +336,47 @@ func newPass(cfg Config, agent *global.Agent, rng *mat.RNG, checkpointEvery int,
 			s.initDomains(dm.Domains())
 		}
 	}
-	// Fail/repair edges ride the ordinary transition stream; route it when
+	// Server events reach the session through per-shard observation logs,
+	// replayed in merged time order at each epoch barrier (shard_engine.go).
+	// Fail/repair edges ride the ordinary transition stream; log it when
 	// anyone listens (mode observer, or fault observers with faults on) or
 	// when domain outages must be counted off the down/up edges.
-	needTrans := o.obs.OnModeTransition != nil ||
+	if o.obs.OnModeTransition != nil ||
 		(fm != nil && (o.obs.OnServerFail != nil || o.obs.OnServerRepair != nil)) ||
-		s.domIdx != nil
-
+		s.domIdx != nil {
+		cl.LogTransitions()
+		r.onTrans = s.routeTransition
+	}
+	r.onDone = s.jobDone
+	if fm != nil {
+		r.onInterrupt = s.jobInterrupted
+		r.onMigrate = s.jobMigrated
+		r.onDegrade = s.serverDegraded
+		r.onMaint = s.drainStarted
+	}
+	if agent != nil {
+		r.preEncode = true
+		agent.PrepareGather()
+		m := cluster.NewMerger(cl)
+		m.OnChange = agent.ObserveCluster
+		r.merger = m
+	}
+	if o.etraceCap > 0 {
+		r.etrace = telemetry.NewEpochRing(o.etraceCap, p)
+	}
 	s.col.OnCheckpoint = o.obs.OnCheckpoint
+	s.col.CheckpointClock = func() sim.Time { return r.clock }
 	if p == 1 {
-		// Strict tier: synchronous callbacks on the single lane.
-		if agent != nil {
-			cl.OnChange = func(t sim.Time) {
-				agent.ObserveCluster(t, cl.TotalPower(), cl.JobsInSystem(), cl.ReliabilityObj())
-			}
-		}
-		cl.OnJobDone = s.jobDone
-		if needTrans {
-			cl.OnTransition = s.routeTransition
-		}
-		if fm != nil {
-			cl.OnInterrupt = s.jobInterrupted
-			cl.OnMigrate = s.jobMigrated
-			cl.OnDegrade = s.serverDegraded
-			cl.OnDrainStart = s.drainStarted
-		}
-	} else {
-		// Parallel tier: per-shard observation logs, replayed in merged time
-		// order at each epoch barrier (shard_engine.go).
-		cl.SetAsync(agent != nil, needTrans)
-		r := &shardRunner{s: s, p: p}
-		if o.etraceCap > 0 {
-			r.etrace = telemetry.NewEpochRing(o.etraceCap, p)
-		}
-		r.fastLL = s.fastLL
-		r.needsView = !s.fastLL && !s.viewFree
-		r.onDone = s.jobDone
-		if needTrans {
-			r.onTrans = s.routeTransition
-		}
-		if fm != nil {
-			r.onInterrupt = s.jobInterrupted
-			r.onMigrate = s.jobMigrated
-			r.onDegrade = s.serverDegraded
-			r.onMaint = s.drainStarted
-		}
-		if agent != nil {
-			r.preEncode = true
-			agent.PrepareGather()
-			m := cluster.NewMerger(cl)
-			m.OnChange = agent.ObserveCluster
-			r.merger = m
-		}
-		s.col.CheckpointClock = func() sim.Time { return r.clock }
-		// Shard 0 runs inline on the coordinator; one worker per remaining
-		// shard (the barrier counts those p-1 arrivals).
-		r.bar.init(p - 1)
-		if o.telAddr != "" {
-			r.bar.pollEvery = barrierPollEvery
-		}
-		cl.SnapshotPrepare(&r.view)
-		for i := 1; i < p; i++ {
-			go r.worker(i)
-		}
-		s.sr = r
+		r.cpEvery = checkpointEvery
+	}
+	// Shard 0 runs inline on the coordinator; one worker per remaining
+	// shard (the barrier counts those p-1 arrivals).
+	r.bar.init(p - 1)
+	if o.telAddr != "" {
+		r.bar.pollEvery = barrierPollEvery
+	}
+	for i := 1; i < p; i++ {
+		go r.worker(i)
 	}
 	if o.expectJobs > 0 {
 		s.Reserve(o.expectJobs)
@@ -500,9 +467,8 @@ func (s *Session) routeTransition(t sim.Time, server int, from, to cluster.Power
 	}
 }
 
-// serverDegraded routes a fail-slow edge to the observer — invoked at the
-// degrade event in the strict tier, replayed at the epoch barrier in the
-// parallel tier.
+// serverDegraded routes a fail-slow edge, replayed at the epoch barrier, to
+// the observer.
 func (s *Session) serverDegraded(t sim.Time, server int, factor float64) {
 	if s.obs.OnServerDegrade != nil {
 		s.obs.OnServerDegrade(t, server, factor)
@@ -516,12 +482,12 @@ func (s *Session) drainStarted(t sim.Time, server int) {
 	}
 }
 
-// jobInterrupted is the cluster's crash-eviction callback — invoked during
-// the crash event in the strict tier, replayed at the epoch barrier in
-// merged (time, shard) order in the parallel tier. It routes the job through
-// the retry policy: a requeued job re-enters the pending queue at now+delay
-// under its original ID (latency keeps counting from the first declared
-// arrival), a dropped job counts as lost.
+// jobInterrupted handles one crash eviction, replayed at the epoch barrier
+// in merged (time, shard) order. It routes the job through the retry policy:
+// a requeued job re-enters the pending queue at crash_t+delay under its
+// original ID (latency keeps counting from the first declared arrival), a
+// dropped job counts as lost. The engine dispatches the requeue at its next
+// decision epoch, never before the barrier that replayed the eviction.
 func (s *Session) jobInterrupted(t sim.Time, j *cluster.Job) {
 	ri, ok := s.retry[j.ID]
 	if !ok {
@@ -552,7 +518,7 @@ func (s *Session) jobInterrupted(t sim.Time, j *cluster.Job) {
 	}
 }
 
-// jobMigrated is the cluster's drain-migration callback: a queued job handed
+// jobMigrated handles one drain migration: a queued job handed
 // back when its server opened a maintenance window. It shares the retry
 // path's bookkeeping (attempt counting, original-arrival latency, the same
 // RetryPolicy) but counts as a graceful migration, not an interruption — the
@@ -586,14 +552,12 @@ func (s *Session) jobMigrated(t sim.Time, j *cluster.Job) {
 
 // requeue re-inserts an interrupted job behind the same (arrival, order)
 // total order Submit maintains — without assigning a new ID or counting it
-// as ingested again — and re-arms the strict tier's pump (a no-op in the
-// parallel tier, whose epoch loop reads the queue directly).
+// as ingested again.
 func (s *Session) requeue(tj Job) {
 	s.queue = append(s.queue, tj)
 	for i := len(s.queue) - 1; i > s.qhead && s.queue[i].Arrival < s.queue[i-1].Arrival; i-- {
 		s.queue[i], s.queue[i-1] = s.queue[i-1], s.queue[i]
 	}
-	s.arm()
 }
 
 // drained reports whether every ingested job is accounted for — completed or
@@ -645,7 +609,6 @@ func (s *Session) Submit(j Job) error {
 		s.queue[i], s.queue[i-1] = s.queue[i-1], s.queue[i]
 	}
 	s.ingested++
-	s.arm()
 	return nil
 }
 
@@ -661,7 +624,7 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 	}
 	// Validate the whole batch before mutating anything: a malformed trace
 	// must leave the session untouched, not half-ingested with the pending
-	// queue's ordering invariant broken and no pump armed.
+	// queue's ordering invariant broken.
 	for i, tj := range tr.Jobs {
 		tj.ID = int(s.ingested) + i
 		if err := tj.Validate(); err != nil {
@@ -686,81 +649,7 @@ func (s *Session) SubmitTrace(tr *Trace) error {
 			return pending[a].Arrival < pending[b].Arrival
 		})
 	}
-	s.arm()
 	return nil
-}
-
-// sessionPumpFire is the pump's event trampoline (package-level: no closure,
-// no per-event allocation).
-func sessionPumpFire(a any) { a.(*Session).pumpFire() }
-
-// arm keeps exactly one pending-arrival timer scheduled, in the simulator's
-// priority lane so a streamed arrival takes the same queue position an
-// up-front-scheduled arrival historically had (arrivals win timestamp ties
-// against simulation-spawned events). The parallel tier needs no pump: its
-// epoch loop pulls arrivals from the queue directly.
-func (s *Session) arm() {
-	if s.sr != nil || s.qhead >= len(s.queue) {
-		return
-	}
-	at := sim.Time(s.queue[s.qhead].Arrival)
-	if now := s.sm.Now(); at < now {
-		at = now
-	}
-	if s.pumpTimer.Pending() {
-		if s.pumpTimer.At() <= at {
-			return // already armed at or before the head arrival
-		}
-		s.pumpTimer.Cancel()
-	}
-	s.pumpTimer = s.sm.SchedulePriorityArg(at, sessionPumpFire, s)
-}
-
-// pumpFire dispatches the head arrival: renew a pooled job (or allocate the
-// pool's next entry), ask the allocator for a target against a refreshed
-// snapshot, submit, and re-arm for the next pending arrival.
-func (s *Session) pumpFire() {
-	s.pumpTimer = sim.Timer{}
-	if s.fm != nil && s.cl.UnavailableServers() == s.cl.M() {
-		// Every server is down or draining: park the pump at the earliest
-		// instant one can change state — a repair, or a draining server
-		// running dry (its power-off then schedules the real repair). The
-		// triggering event sits in the same (normal) lane with an earlier
-		// sequence number, so at that instant it fires before the pump does
-		// and the retried dispatch sees the updated availability; each
-		// re-park is therefore strictly later and the pump cannot spin.
-		at := s.cl.NextAvailAt()
-		if now := s.sm.Now(); at < now {
-			at = now
-		}
-		s.pumpTimer = s.sm.ScheduleArg(at, sessionPumpFire, s)
-		return
-	}
-	tj := s.queue[s.qhead]
-	s.popHead()
-	j := s.takeJob(tj)
-	var target int
-	switch {
-	case s.fastLL:
-		// Least-loaded answers from the incrementally maintained load index
-		// — the same argmin, bit for bit, as the O(M) snapshot scan it
-		// replaces (essential at 10k-server scale, where a per-arrival scan
-		// would dominate the whole run).
-		target = s.cl.LeastCommitted()
-	case s.viewFree:
-		// Round-robin and random read only the cluster size.
-		target = s.alloc.Allocate(j, &s.view)
-	default:
-		target = s.alloc.Allocate(j, s.cl.SnapshotInto(&s.view))
-	}
-	if s.fm != nil && !s.cl.Accepting(target) {
-		// Graceful degradation for state-blind allocators (round-robin,
-		// random, a stale DRL pick): cyclically remap onto a server that
-		// accepts work (neither down nor draining).
-		target = s.cl.NextUp(target)
-	}
-	s.cl.Submit(j, target)
-	s.arm()
 }
 
 // takeJob renews a pooled cluster job (or allocates one) for dispatch. A
@@ -813,31 +702,11 @@ func (s *Session) ctxErr() error {
 	}
 }
 
-// guard bounds total event count relative to ingested jobs, protecting
-// callers from a runaway self-rescheduling model. Every job spawns a bounded
-// number of follow-up events; 64 per job is a generous ceiling. (The
-// parallel tier applies the same bound summed across lanes; see
-// shardRunner.guard.)
-func (s *Session) guard() error {
-	budget := 64*s.ingested + 1024
-	if s.fm != nil {
-		// Fault runs self-fund their extra events: every requeue re-dispatches
-		// one job, and every crash schedules one crash + one repair event.
-		budget += 64*s.retried + 16*s.cl.Failures()
-	}
-	if s.sm.Fired() > budget {
-		return fmt.Errorf("hierdrl: event budget exceeded (%d events for %d jobs): runaway model",
-			s.sm.Fired(), s.ingested)
-	}
-	return nil
-}
-
-// Step advances the engine by one unit of work and reports whether anything
-// fired (false means the engine is idle — drained or awaiting submissions).
-// In the strict tier the unit is one event; in the parallel tier it is one
-// decision epoch (every lane quiesced up to the next arrival, which is then
-// allocated) or, with no arrivals left, one closing phase that drains the
-// lanes.
+// Step advances the engine by one decision epoch — every lane quiesced up
+// to the next arrival, which is then allocated — or, with no arrivals left,
+// by one closing phase that drains the lanes. It reports whether the engine
+// did (or still has) work; false means it is idle — drained or awaiting
+// submissions.
 func (s *Session) Step() (bool, error) {
 	if s.closed {
 		return false, ErrSessionClosed
@@ -845,39 +714,19 @@ func (s *Session) Step() (bool, error) {
 	if s.err != nil {
 		return false, s.err
 	}
-	if s.sr != nil {
-		ok, err := s.sr.step()
-		if err != nil {
-			return ok, s.fail(err)
-		}
-		if ok && s.auto != nil {
-			// Auto-checkpoint failures surface without latching: the run
-			// itself is consistent and the next boundary retries the write.
-			if aerr := s.autoTick(); aerr != nil {
-				return ok, aerr
-			}
-		}
-		if ok {
-			s.telTick()
-		}
-		return ok, nil
+	ok, err := s.sr.step()
+	if err != nil {
+		return ok, s.fail(err)
 	}
-	if err := s.ctxErr(); err != nil {
-		return false, s.fail(err)
-	}
-	if err := s.guard(); err != nil {
-		return false, s.fail(err)
-	}
-	fired := s.sm.Step()
-	if fired && s.auto != nil {
+	if ok {
+		// Auto-checkpoint failures surface without latching: the run itself
+		// is consistent and the next boundary retries the write.
 		if err := s.autoTick(); err != nil {
-			return true, err
+			return ok, err
 		}
-	}
-	if fired {
 		s.telTick()
 	}
-	return fired, nil
+	return ok, nil
 }
 
 // StepUntil fires every event scheduled at or before t and advances the
@@ -890,40 +739,16 @@ func (s *Session) StepUntil(t Time) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.sr != nil {
-		if err := s.fail(s.sr.stepUntil(t)); err != nil {
-			return err
-		}
-		s.telTick()
-		return s.autoTick()
+	if err := s.fail(s.sr.stepUntil(t)); err != nil {
+		return err
 	}
-	for i := 0; ; i++ {
-		if i&255 == 0 {
-			if err := s.ctxErr(); err != nil {
-				return s.fail(err)
-			}
-		}
-		next, ok := s.sm.PeekTime()
-		if !ok || next > t {
-			break
-		}
-		if err := s.guard(); err != nil {
-			return s.fail(err)
-		}
-		s.sm.Step()
-		if s.auto != nil {
-			if err := s.autoTick(); err != nil {
-				return err
-			}
-		}
-		s.telTick()
-	}
-	s.sm.Run(t) // queue is past t: just advances the clock to t
-	return nil
+	s.telTick()
+	return s.autoTick()
 }
 
-// Drain fires events until the engine is idle: every submitted job has been
-// dispatched and completed. Further jobs can still be submitted afterwards.
+// Drain runs decision epochs until the engine is idle: every submitted job
+// has been dispatched and completed (or, on fault runs, lost). Further jobs
+// can still be submitted afterwards.
 func (s *Session) Drain() error {
 	if s.closed {
 		return ErrSessionClosed
@@ -931,62 +756,29 @@ func (s *Session) Drain() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.sr != nil {
-		if s.auto == nil && s.tel == nil {
-			return s.fail(s.sr.drainAll())
-		}
-		// drainAll is exactly this loop minus the snapshot/telemetry ticks;
-		// the split keeps the common path's epoch loop free of the extra
-		// branches.
-		for {
-			more, err := s.sr.step()
-			if err != nil {
-				return s.fail(err)
-			}
-			if err := s.autoTick(); err != nil {
-				return err
-			}
-			s.telTick()
-			if !more {
-				return nil
-			}
-		}
+	if s.auto == nil && s.tel == nil {
+		return s.fail(s.sr.drainAll())
 	}
-	for i := 0; ; i++ {
-		if i&255 == 0 {
-			if err := s.ctxErr(); err != nil {
-				return s.fail(err)
-			}
-		}
-		if err := s.guard(); err != nil {
+	// drainAll is exactly this loop minus the snapshot/telemetry ticks; the
+	// split keeps the common path's epoch loop free of the extra branches.
+	for {
+		more, err := s.sr.step()
+		if err != nil {
 			return s.fail(err)
 		}
-		if s.fm != nil && s.drained() {
-			// Fault runs never run out of events (crash/repair timers are
-			// perpetual): stop once the job accounting closes instead.
-			return nil
-		}
-		if !s.sm.Step() {
-			return nil
-		}
-		if s.auto != nil {
-			if err := s.autoTick(); err != nil {
-				return err
-			}
+		if err := s.autoTick(); err != nil {
+			return err
 		}
 		s.telTick()
+		if !more {
+			return nil
+		}
 	}
 }
 
-// Now returns the current simulated time: the single lane's clock in the
-// strict tier, the engine clock (max lane clock, updated at every barrier)
-// in the parallel tier.
-func (s *Session) Now() Time {
-	if s.sr != nil {
-		return s.sr.clock
-	}
-	return s.sm.Now()
-}
+// Now returns the current simulated time: the engine clock (the max lane
+// clock, updated at every barrier).
+func (s *Session) Now() Time { return s.sr.clock }
 
 // Pending returns the number of ingested jobs not yet dispatched.
 func (s *Session) Pending() int { return len(s.queue) - s.qhead }
@@ -1050,20 +842,15 @@ func (s *Session) Snapshot() SessionSnapshot {
 // SnapshotInto refreshes dst with a live view of the session, reusing
 // dst.View's buffers (allocated on first use): a warm refresh performs no
 // heap allocation. It is safe wherever Snapshot is — between clock advances
-// and inside Observer callbacks: in the parallel tier every callback runs at
-// an epoch barrier with all lanes quiescent, each shard's range of the view
-// is refreshed from its own servers, and the per-shard aggregates reduce in
-// fixed shard order, so a mid-run snapshot is race-free and deterministic.
+// and inside Observer callbacks: every callback runs at an epoch barrier
+// with all lanes quiescent, and the per-shard aggregates reduce in fixed
+// shard order, so a mid-run snapshot is race-free and deterministic.
 func (s *Session) SnapshotInto(dst *SessionSnapshot) {
 	if dst.View == nil {
 		dst.View = &ClusterView{}
 	}
 	now := s.Now()
-	if s.sr != nil {
-		s.sr.snapshotRefresh(dst.View)
-	} else {
-		s.cl.SnapshotInto(dst.View)
-	}
+	s.sr.snapshotRefresh(dst.View)
 	dst.Now = now
 	dst.Ingested = s.ingested
 	dst.Completed = s.cl.Completed()
@@ -1109,7 +896,7 @@ func (s *Session) Result() (*Result, error) {
 	}
 	s.finishEpisode()
 	s.cl.InvariantCheck()
-	if s.sr != nil && s.sr.merger != nil {
+	if s.sr.merger != nil {
 		s.sr.merger.InvariantCheck(s.cl)
 	}
 	s.col.SetFaultTallies(s.interrupted, s.migrated, s.retried, s.lost, s.domainOutages, s.lostWork)
@@ -1144,7 +931,7 @@ func (s *Session) finishEpisode() {
 
 // Close finalizes the learning episode (if Result has not already), dumps
 // the epoch-trace file and shuts the telemetry endpoint down (if configured),
-// stops the parallel tier's lane workers, and marks the session unusable. It
+// stops the lane workers, and marks the session unusable. It
 // is idempotent; the only error it can return is a failing epoch-trace dump
 // (WithEpochTraceFile).
 func (s *Session) Close() error {
@@ -1152,13 +939,8 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.finishEpisode()
-	if s.pumpTimer.Pending() {
-		s.pumpTimer.Cancel()
-	}
 	err := s.telClose()
-	if s.sr != nil {
-		s.sr.stop()
-	}
+	s.sr.stop()
 	s.closed = true
 	return err
 }

@@ -13,15 +13,16 @@ import (
 	"hierdrl/internal/telemetry"
 )
 
-// This file is the parallel execution tier (WithShards(P), P >= 2): the
+// This file is the session's execution engine (WithShards(P), P >= 1): the
 // cluster is partitioned into P contiguous server groups, each owning its
 // own event lane (timers, FCFS queues, power-mode transitions, incremental
-// reliability partial sums) stepped by a dedicated worker goroutine. The
-// hierarchical model makes this sound: below the global allocation tier,
-// servers never interact — every event a server schedules lands on that same
-// server — so between two arrival decision epochs the P lanes are fully
-// independent. The global agent's decision epoch is the only synchronization
-// point. Each epoch runs as one barrier-delimited phase:
+// reliability partial sums). Shard 0 runs inline on the coordinator; shards
+// 1..P-1 each have a worker goroutine, so P=1 is one shard with no workers
+// and no barrier. The hierarchical model makes this sound: below the global
+// allocation tier, servers never interact — every event a server schedules
+// lands on that same server — so between two arrival decision epochs the P
+// lanes are fully independent. The global agent's decision epoch is the only
+// synchronization point. Each epoch runs as one barrier-delimited phase:
 //
 //	release -> workers: [commit previous dispatch] + run own lane up to the
 //	           epoch instant + [refresh own view range / pre-encode]
@@ -31,10 +32,10 @@ import (
 //	           state, and pend its dispatch for the next phase.
 //
 // Determinism: lanes are deterministic sequential simulators, per-shard RNG
-// chains are derived exactly as in the strict tier, and every merged replay
-// orders records by (time, shard index) — a pure function of the simulation,
-// never of goroutine scheduling. Results at a fixed P are bitwise
-// reproducible run to run, and equal to the strict tier within the tolerance
+// chains are derived in ascending server order at every P, and every merged
+// replay orders records by (time, shard index) — a pure function of the
+// simulation, never of goroutine scheduling. Results at a fixed P are
+// bitwise reproducible run to run, and equal to P=1 within the tolerance
 // documented in DESIGN.md §12 (exactly equal whenever no two shards fire an
 // observable event at the same instant, which has probability ~1 under
 // continuous arrival processes).
@@ -50,7 +51,7 @@ type runMode uint8
 const (
 	// runBefore fires events strictly before cmd.until (epoch phases: the
 	// dispatch at the epoch instant must precede same-instant lane events,
-	// mirroring the strict tier's priority-lane arrivals).
+	// so an arrival wins every timestamp tie).
 	runBefore runMode = iota
 	// runThrough fires events at or before cmd.until and advances the lane
 	// clock to exactly cmd.until (StepUntil's closing phase).
@@ -245,16 +246,16 @@ func (b *epochBarrier) join() {
 	}
 }
 
-// shardRunner drives a sharded session: P lane workers, the epoch barrier,
-// the merged-replay machinery, and the gathered allocation view.
+// shardRunner drives a session: P lanes (P-1 of them on workers), the epoch
+// barrier, the merged-replay machinery, and the gathered allocation view.
 type shardRunner struct {
 	s   *Session
 	p   int
 	bar epochBarrier
 	cmd phaseCmd
 
-	// merger replays the merged change feed through strict-order global
-	// bookkeeping for the DRL reward integral (nil without an agent).
+	// merger replays the merged change feed through one global bookkeeping
+	// sequence for the DRL reward integral (nil without an agent).
 	merger *cluster.Merger
 
 	// view is the shared gather view: shard workers refresh disjoint server
@@ -292,6 +293,15 @@ type shardRunner struct {
 	fastLL    bool // least-loaded via the incremental per-shard LoadIndex
 	preEncode bool // DRL: workers pre-encode their server ranges
 
+	// cpEvery is the checkpoint-series interval at P=1 (0 otherwise), and
+	// cpStop the completed-job count at which the running phase stops: the
+	// count that makes the collector's next checkpoint due. Stopping there
+	// lets the coordinator record the checkpoint at its completion instant
+	// (see runInline). At P>=2 both stay 0 and checkpoints are stamped at
+	// the barrier instant (DESIGN.md §12).
+	cpEvery int
+	cpStop  int64
+
 	// etrace records per-phase timing spans (nil unless WithEpochTrace):
 	// the coordinator opens a span before each barrier release, each worker
 	// writes only its own Shards slot between release and arrive, and the
@@ -303,11 +313,13 @@ type shardRunner struct {
 	stopped bool
 }
 
-// runPhase executes one phase's work for shard id: commit the dispatch if it
-// targets this shard, step the lane, refresh the local view range. Shard 0
-// runs on the coordinator itself (saving one goroutine handoff per phase);
-// shards 1..P-1 run in their workers.
-func (r *shardRunner) runPhase(id int) {
+// runPhase executes one phase's work for shard id: commit the dispatches
+// that target this shard, step the lane, refresh the local view range. Shard
+// 0 runs on the coordinator itself (saving one goroutine handoff per phase);
+// shards 1..P-1 run in their workers. It reports whether the lane run
+// stopped early at a checkpoint (P=1 only); calling it again resumes the
+// phase. Span durations accumulate across such resumptions.
+func (r *shardRunner) runPhase(id int) bool {
 	cl := r.s.cl
 	lane := cl.Lane(id)
 	c := &r.cmd
@@ -316,7 +328,7 @@ func (r *shardRunner) runPhase(id int) {
 	if r.etrace != nil {
 		ps = &r.etrace.Cur().Shards[id]
 		t0 = r.etrace.NowNs()
-		if id == 0 {
+		if ps.StartNs == 0 {
 			ps.StartNs = t0 // the coordinator's inline shard never waits
 		}
 	}
@@ -335,23 +347,21 @@ func (r *shardRunner) runPhase(id int) {
 	}
 	if ps != nil {
 		now := r.etrace.NowNs()
-		ps.CommitNs = now - t0
+		ps.CommitNs += now - t0
 		t0 = now
 	}
-	switch c.mode {
-	case runBefore:
-		lane.RunBefore(c.until)
-	case runThrough:
-		lane.Run(c.until)
-	case runAll:
-		lane.RunBefore(infTime)
+	stopped := r.runLane(lane, c.mode, c.until)
+	if stopped {
+		// A checkpoint stop happens only at P=1, where no worker reads the
+		// command: the resumed phase has nothing left to commit.
+		c.d = nil
 	}
 	if ps != nil {
 		now := r.etrace.NowNs()
-		ps.RunNs = now - t0
+		ps.RunNs += now - t0
 		t0 = now
 	}
-	if c.refresh {
+	if !stopped && c.refresh {
 		lo, hi := cl.ShardRange(id)
 		cl.SnapshotRange(&r.view, lo, hi)
 		if r.preEncode {
@@ -359,8 +369,35 @@ func (r *shardRunner) runPhase(id int) {
 		}
 	}
 	if ps != nil {
-		ps.RefreshNs = r.etrace.NowNs() - t0
+		ps.RefreshNs += r.etrace.NowNs() - t0
 	}
+	return stopped
+}
+
+// runLane fires lane's events before until, or at or before it under
+// runThrough, which also leaves the lane clock at until. With a checkpoint
+// stop armed (P=1 only) it steps event by event and returns true right after
+// the event that brings the completed-job count to cpStop, leaving the rest
+// of the span to the resumed phase.
+func (r *shardRunner) runLane(lane *sim.Simulator, mode runMode, until sim.Time) bool {
+	if r.cpStop > 0 {
+		for {
+			next, ok := lane.PeekTime()
+			if !ok || next > until || (next == until && mode != runThrough) {
+				break
+			}
+			lane.Step()
+			if r.s.cl.Completed() >= r.cpStop {
+				return true
+			}
+		}
+	}
+	if mode == runThrough {
+		lane.Run(until)
+	} else {
+		lane.RunBefore(until)
+	}
+	return false
 }
 
 // worker is one lane's goroutine (shards 1..P-1): wait for a phase, run it,
@@ -393,7 +430,7 @@ func (r *shardRunner) worker(id int) {
 // logs. Pending dispatches are attached when the phase covers their instant
 // (checked explicitly so a bounded StepUntil never commits a dispatch beyond
 // its horizon). The coordinator overlaps shard 0's phase work with the
-// workers' before joining.
+// workers' before joining; at P=1 it runs the phase inline instead.
 func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 	r.cmd = phaseCmd{mode: mode, until: until, refresh: refresh}
 	if n := r.coveredPends(until); n > 0 {
@@ -406,28 +443,60 @@ func (r *shardRunner) round(mode runMode, until sim.Time, refresh bool) {
 		// (runMode and the trace's mode constants coincide by construction).
 		r.etrace.Begin(float64(until), uint8(mode))
 	}
-	r.bar.release()
-	r.runPhase(0)
-	r.bar.join()
-	if c := r.s.cl.Clock(); c > r.clock {
-		r.clock = c
-	}
-	var sp *telemetry.EpochSpan
-	if r.etrace != nil {
-		sp = r.etrace.Cur()
-		sp.ReplayStartNs = r.etrace.NowNs()
+	if r.p == 1 {
+		r.runInline()
+	} else {
+		r.bar.release()
+		r.runPhase(0)
+		r.bar.join()
 	}
 	r.replay()
-	if sp != nil {
-		sp.ReplayNs = r.etrace.NowNs() - sp.ReplayStartNs
+}
+
+// runInline runs a P=1 phase on the coordinator. With a checkpoint series it
+// arms the stop at the completion that makes the collector's next checkpoint
+// due — every - completed%every completions into the phase — then replays
+// the logs at that instant, so the checkpoint is recorded at the lane clock,
+// which is the completion instant, and resumes the phase. At P>=2 halting one
+// lane would reorder the merged replay, so there checkpoints keep the
+// barrier instant.
+func (r *shardRunner) runInline() {
+	for {
+		if r.cpEvery > 0 {
+			done := r.s.col.Completed()
+			r.cpStop = int64(done + r.cpEvery - done%r.cpEvery)
+		}
+		if !r.runPhase(0) {
+			return
+		}
+		r.replay()
 	}
 }
 
-// replay drains the merged observation streams on the coordinator: the
+// replay advances the engine clock to the most advanced lane and drains the
+// observation logs.
+func (r *shardRunner) replay() {
+	if c := r.s.cl.Clock(); c > r.clock {
+		r.clock = c
+	}
+	if r.etrace == nil {
+		r.drainLogs()
+		return
+	}
+	sp := r.etrace.Cur()
+	t0 := r.etrace.NowNs()
+	if sp.ReplayStartNs == 0 {
+		sp.ReplayStartNs = t0
+	}
+	r.drainLogs()
+	sp.ReplayNs += r.etrace.NowNs() - t0
+}
+
+// drainLogs drains the merged observation streams on the coordinator: the
 // change feed into the DRL reward integral, completions into the collector,
 // the observer hooks, and the job pool, transitions into the observer. All
 // shards are quiescent here, so user callbacks may take a Session snapshot.
-func (r *shardRunner) replay() {
+func (r *shardRunner) drainLogs() {
 	s := r.s
 	if r.merger != nil {
 		s.cl.DrainChanges(r.merger)
@@ -455,8 +524,9 @@ func (r *shardRunner) replay() {
 	}
 }
 
-// guard bounds total event count relative to ingested jobs across all lanes
-// (the sharded form of Session.guard).
+// guard bounds total event count relative to ingested jobs across all lanes,
+// protecting callers from a runaway self-rescheduling model. Every job spawns
+// a bounded number of follow-up events; 64 per job is a generous ceiling.
 func (r *shardRunner) guard() error {
 	var fired int64
 	for i := 0; i < r.p; i++ {
@@ -523,8 +593,8 @@ func (r *shardRunner) step() (bool, error) {
 	if s.qhead < len(s.queue) {
 		at := sim.Time(s.queue[s.qhead].Arrival)
 		if r.clock > at {
-			// A late submission: like the strict pump, dispatch at the
-			// current clock (latency still counts from the declared arrival).
+			// A late submission: dispatch at the current clock (latency
+			// still counts from the declared arrival).
 			at = r.clock
 		}
 		if n := len(r.pends); n > 0 && r.pends[n-1].at > at {
@@ -542,8 +612,7 @@ func (r *shardRunner) step() (bool, error) {
 			// the lanes through the earliest availability change (a repair,
 			// or a draining server running dry) instead of allocating into a
 			// dead cluster. The arrival re-dispatches on the next step
-			// against the updated state (the sharded analogue of the strict
-			// pump parking at NextAvailAt).
+			// against the updated state.
 			r.round(runThrough, s.cl.NextAvailAt(), false)
 			return true, nil
 		}
@@ -598,7 +667,7 @@ func (r *shardRunner) dispatchNext(at sim.Time) {
 	case r.preEncode:
 		// Group features were gathered by the shard workers in parallel;
 		// the epoch evaluates all K Sub-Q heads over them as one batched
-		// GEMM (QNetwork.QValuesInto) exactly as the strict tier does.
+		// GEMM (QNetwork.QValuesInto), bitwise the same as Allocate.
 		target = s.agent.AllocatePreEncoded(j, &r.view)
 	default:
 		target = s.alloc.Allocate(j, &r.view)
@@ -640,8 +709,7 @@ func (r *shardRunner) drainAll() error {
 // stepUntil dispatches every arrival reachable at or before t and then runs
 // every lane through t, leaving the engine clock at exactly t. Arrivals
 // whose dispatch instant falls beyond t (late submissions against an already
-// advanced clock) stay pending, exactly like the strict pump timer they
-// replace.
+// advanced clock) stay pending for a later call.
 func (r *shardRunner) stepUntil(t sim.Time) error {
 	s := r.s
 	for s.qhead < len(s.queue) && sim.Time(s.queue[s.qhead].Arrival) <= t && r.clock <= t {
@@ -702,9 +770,9 @@ func (r *shardRunner) snapshotRefresh(v *cluster.View) {
 	s.cl.SnapshotRange(v, 0, s.cl.M())
 }
 
-// stop terminates the lane workers. Idempotent.
+// stop terminates the lane workers (there are none at P=1). Idempotent.
 func (r *shardRunner) stop() {
-	if r.stopped {
+	if r.stopped || r.p == 1 {
 		return
 	}
 	r.stopped = true

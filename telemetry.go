@@ -2,7 +2,7 @@
 // (Prometheus /metrics, /healthz, /snapshot JSON, net/http/pprof) to a
 // running session, WithSketchOnly switches the metrics collector to
 // constant-memory quantile sketches (dropping the O(jobs) sample slices),
-// and WithEpochTrace records the parallel tier's decision-epoch phases into
+// and WithEpochTrace records the engine's decision-epoch phases into
 // a fixed ring dumpable as Chrome trace-event JSON. The HTTP goroutines read
 // only immutable blobs published at epoch boundaries, so telemetry never
 // perturbs the simulation's determinism contract (DESIGN.md §17).
@@ -56,11 +56,11 @@ const telemetryPublishEvery = 500
 const telemetryMinPublishGap = 250 * time.Millisecond
 
 // WithEpochTrace records the last capacity decision epochs (capacity < 1
-// defaults to 2048) of the parallel tier into a fixed-size ring: per-shard
-// barrier-wait, dispatch-commit, lane-run, and view-refresh/encode segments,
-// plus the coordinator's merged replay and allocation/GEMM. Zero steady-state
+// defaults to 2048) into a fixed-size ring: per-shard barrier-wait,
+// dispatch-commit, lane-run, and view-refresh/encode segments, plus the
+// coordinator's merged replay and allocation/GEMM. It works at every shard
+// count; at P=1 the one shard runs inline and never waits. Zero steady-state
 // allocation. Dump with Session.WriteEpochTrace (Chrome trace-event JSON).
-// Requires WithShards(p >= 2); NewSession errors otherwise.
 func WithEpochTrace(capacity int) SessionOption {
 	return func(o *sessionOptions) {
 		if capacity < 1 {
@@ -118,8 +118,8 @@ func (s *Session) TelemetryAddr() string {
 // (load in chrome://tracing or ui.perfetto.dev). Errors unless the session
 // was built with WithEpochTrace / WithEpochTraceFile.
 func (s *Session) WriteEpochTrace(w io.Writer) error {
-	if s.sr == nil || s.sr.etrace == nil {
-		return fmt.Errorf("hierdrl: epoch trace not enabled (WithEpochTrace requires WithShards(p >= 2))")
+	if s.sr.etrace == nil {
+		return fmt.Errorf("hierdrl: epoch trace not enabled (configure WithEpochTrace)")
 	}
 	return s.sr.etrace.WriteChromeTrace(w)
 }
@@ -201,12 +201,8 @@ func (t *sessionTelemetry) publish(s *Session) {
 
 // eventsFired sums fired events across all lanes.
 func (s *Session) eventsFired() int64 {
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
 	var n int64
-	for i := 0; i < p; i++ {
+	for i := 0; i < s.sr.p; i++ {
 		n += s.cl.Lane(i).Fired()
 	}
 	return n
@@ -253,12 +249,8 @@ func (t *sessionTelemetry) buildProm(s *Session) {
 	fmt.Fprintf(b, "hiersim_power_watts %g\n", sn.TotalPowerW)
 	head("hiersim_energy_kwh", "counter", "Energy integrated since t=0.")
 	fmt.Fprintf(b, "hiersim_energy_kwh %g\n", sn.EnergykWh)
-	head("hiersim_shards", "gauge", "Event-lane shard count (1 = strict tier).")
-	p := 1
-	if s.sr != nil {
-		p = s.sr.p
-	}
-	fmt.Fprintf(b, "hiersim_shards %d\n", p)
+	head("hiersim_shards", "gauge", "Event-lane shard count.")
+	fmt.Fprintf(b, "hiersim_shards %d\n", s.sr.p)
 	head("hiersim_jobs_per_second", "gauge", "Wall-clock job completion rate between publishes.")
 	fmt.Fprintf(b, "hiersim_jobs_per_second %g\n", t.jobsRate)
 	head("hiersim_events_per_second", "gauge", "Wall-clock simulation event rate between publishes.")

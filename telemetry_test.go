@@ -3,6 +3,7 @@ package hierdrl_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -251,15 +252,26 @@ func TestSketchOnlySummary(t *testing.T) {
 	}
 }
 
-// TestEpochTraceChromeJSON drives a sharded run with the decision-epoch ring
-// attached and asserts the dump is loadable Chrome trace-event JSON with
-// per-shard phases and the coordinator's replay/alloc segments visible.
-func TestEpochTraceChromeJSON(t *testing.T) {
-	m := 8
+// traceEvent is one Chrome trace-event record of an epoch-trace dump.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Tid  int            `json:"tid"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Args map[string]any `json:"args"`
+}
+
+// epochTraceRun drains a least-loaded run on m servers at p shards with the
+// decision-epoch ring attached, and returns its Chrome trace dump after
+// checking every complete event is well formed. It returns the track names
+// from the metadata events and the set of tids carrying complete events.
+func epochTraceRun(t *testing.T, m, p int) (tracks []string, tids map[int]bool) {
+	t.Helper()
 	cfg := hierdrl.RoundRobin(m)
 	cfg.Alloc = hierdrl.AllocLeastLoaded
 	tr := hierdrl.SyntheticTraceForCluster(400, m, 7)
-	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(2), hierdrl.WithEpochTrace(4096))
+	s, err := hierdrl.NewSession(cfg, hierdrl.WithShards(p), hierdrl.WithEpochTrace(4096))
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
@@ -278,22 +290,16 @@ func TestEpochTraceChromeJSON(t *testing.T) {
 		t.Fatalf("WriteEpochTrace: %v", err)
 	}
 	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Tid  int            `json:"tid"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
+		TraceEvents []traceEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace not valid JSON: %v", err)
 	}
 	names := map[string]bool{}
-	tids := map[int]bool{}
+	tids = map[int]bool{}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "M" {
+			tracks = append(tracks, fmt.Sprint(ev.Args["name"]))
 			continue
 		}
 		if ev.Ph != "X" {
@@ -313,6 +319,14 @@ func TestEpochTraceChromeJSON(t *testing.T) {
 			t.Errorf("trace missing %q events (got %v)", want, names)
 		}
 	}
+	return tracks, tids
+}
+
+// TestEpochTraceChromeJSON drives a sharded run with the decision-epoch ring
+// attached and asserts the dump is loadable Chrome trace-event JSON with
+// per-shard phases and the coordinator's replay/alloc segments visible.
+func TestEpochTraceChromeJSON(t *testing.T) {
+	_, tids := epochTraceRun(t, 8, 2)
 	// Both shards and the coordinator row (tid = P) must be populated.
 	for _, tid := range []int{0, 1, 2} {
 		if !tids[tid] {
@@ -321,13 +335,16 @@ func TestEpochTraceChromeJSON(t *testing.T) {
 	}
 }
 
-// TestEpochTraceRequiresShards pins the construction-time error: epoch
-// tracing measures the parallel tier's barrier phases, so it is meaningless
-// (and rejected) on the strict tier.
-func TestEpochTraceRequiresShards(t *testing.T) {
-	cfg := hierdrl.RoundRobin(4)
-	if _, err := hierdrl.NewSession(cfg, hierdrl.WithEpochTrace(64)); err == nil {
-		t.Fatal("WithEpochTrace on the strict tier must error")
+// TestEpochTraceOneShard pins epoch tracing at P=1: the one shard runs
+// inline on the coordinator, so the dump holds exactly one shard track plus
+// the coordinator's.
+func TestEpochTraceOneShard(t *testing.T) {
+	tracks, tids := epochTraceRun(t, 4, 1)
+	if want := []string{"shard 0", "coordinator"}; fmt.Sprint(tracks) != fmt.Sprint(want) {
+		t.Errorf("tracks %q, want %q", tracks, want)
+	}
+	if len(tids) != 2 || !tids[0] || !tids[1] {
+		t.Errorf("events on tids %v, want shard 0 and the coordinator (tid 1)", tids)
 	}
 }
 
